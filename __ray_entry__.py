@@ -4638,15 +4638,15 @@ def _q_event_trigrams(sf_dir: str):
     import numpy as np
     import ray.data
 
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, partitioned_agg
+    from ctinexus_ray.ops.groupagg import hash_reduce, partitioned_agg
 
     events = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_id",
                                              "event_type"]
     )
 
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_pydict(
+    def to_us(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pydict(
             {
                 "user_id": batch.column("user_id").cast(pa.int64()),
                 "ts_us": batch.column("ts").cast(pa.int64()),
@@ -4654,7 +4654,6 @@ def _q_event_trigrams(sf_dir: str):
                 "event_type": batch.column("event_type"),
             }
         )
-        return add_hash_pkey(t, ["user_id"], 16)
 
     def triples(g: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
@@ -4676,10 +4675,9 @@ def _q_event_trigrams(sf_dir: str):
             }
         )
 
-    exploded = (
-        events.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(triples, batch_format="pandas")
+    exploded = hash_reduce(
+        events.map_batches(to_us, batch_format="pyarrow"),
+        ["user_id"], triples, num_partitions=16,
     )
     return partitioned_agg(
         exploded,
@@ -8809,11 +8807,7 @@ def _q_tpch_q21(sf_dir: str):
     import ray.data
 
     from ctinexus_ray.ops.distjoin import hash_join
-    from ctinexus_ray.ops.groupagg import (
-        add_hash_pkey,
-        derive_num_partitions,
-        partitioned_agg,
-    )
+    from ctinexus_ray.ops.groupagg import hash_reduce, partitioned_agg
 
     i64 = pa.int64()
     us_60d = 60 * 86400 * 1_000_000
@@ -8856,11 +8850,6 @@ def _q_tpch_q21(sf_dir: str):
         left_types={"okey": i64, "skey": i64, "ship_us": i64},
         right_types={"okey": i64, "odate_us": i64},
     )
-    num_partitions = derive_num_partitions(j)
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, ["okey"], num_partitions)
-
     def waiters(g: pd.DataFrame) -> pd.DataFrame:
         g = g.assign(late=(g["ship_us"] > g["odate_us"] + us_60d))
         per = (
@@ -8875,11 +8864,7 @@ def _q_tpch_q21(sf_dir: str):
         hit = per[per["late"] & (per["n_supp"] >= 2) & (per["n_late"] == 1)]
         return hit[["skey"]]
 
-    cand = (
-        j.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(waiters, batch_format="pandas")
-    )
+    cand = hash_reduce(j, ["okey"], waiters)
     counts = partitioned_agg(
         cand,
         keys=["skey"],
@@ -9064,7 +9049,7 @@ def _q_ivm_wordcount(sf_dir: str):
     view = tempfile.mkdtemp(prefix="ivm_wc_")
     n_slices = 2
 
-    def add_key(batch: pa.Table) -> pa.Table:
+    def with_wkey(batch: pa.Table) -> pa.Table:
         words = batch.column("word").to_pylist()
         keys = hash64_strings(words).astype(np.int64)
         return batch.append_column("wkey", pa.array(keys, type=pa.int64()))
@@ -9082,7 +9067,7 @@ def _q_ivm_wordcount(sf_dir: str):
             keys=["word"],
             named_aggs={"n": ("n", "sum")},
             num_partitions=16,
-        ).map_batches(add_key, batch_format="pyarrow")
+        ).map_batches(with_wkey, batch_format="pyarrow")
         apply_delta(
             view,
             delta,

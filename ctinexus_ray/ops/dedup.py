@@ -405,22 +405,7 @@ def distinct_pairs(
     key count (measured 139 s for 1.2M distinct pairs where this path
     takes seconds). Partitioning by a hash of the pair co-locates
     duplicates; per-partition dedup is one vectorized call."""
-    import pyarrow.compute as pc
-
-    if num_partitions is None:
-        from ctinexus_ray.ops.groupagg import derive_num_partitions
-
-        num_partitions = derive_num_partitions(pairs)
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        mix = pc.bit_wise_xor(
-            batch.column("a"), pc.shift_left(batch.column("b"), 13)
-        )
-        mix = pc.bit_wise_xor(mix, batch.column("b"))
-        return batch.append_column(
-            "pkey2", pc.bit_wise_and(mix, num_partitions - 1)
-        )
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     def drop_dup(g: pd.DataFrame) -> pd.DataFrame:
         out = g.drop_duplicates(["a", "b"])
@@ -431,10 +416,8 @@ def distinct_pairs(
             }
         )
 
-    return (
-        pairs.map_batches(add_key, batch_format="pyarrow")
-        .groupby("pkey2")
-        .map_groups(drop_dup, batch_format="pandas")
+    return hash_reduce(
+        pairs, ["a", "b"], drop_dup, num_partitions=num_partitions
     )
 
 
@@ -457,8 +440,8 @@ def minhash_candidate_pairs(
     on dup-heavy corpora (see bucket_pairs_partition).
 
     Shuffle shape (2 rounds, no driver-side state):
-      1. ``groupby(pkey)`` where ``pkey = bucket mod num_partitions`` — a
-         salt key co-locating whole buckets; inside each partition a
+      1. ``hash_reduce`` on the bucket id co-locating whole buckets;
+         inside each partition a
          VECTORIZED pandas self-merge emits pairs, a size transform drops
          singleton buckets, and ``max_bucket`` caps degenerate buckets.
       2. a tiny ``groupby(a, b)`` distinct over the candidate pairs.
@@ -467,11 +450,8 @@ def minhash_candidate_pairs(
     comfortable task rows) at corpus scale; ``None`` derives it from the
     input's plan metadata (``derive_num_partitions``).
     """
-    if num_partitions is None:
-        from ctinexus_ray.ops.groupagg import derive_num_partitions
+    from ctinexus_ray.ops.groupagg import derive_num_partitions, hash_reduce
 
-        num_partitions = derive_num_partitions(docs)
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
     sigs = docs.select_columns(["doc_id", "text"]).map_batches(
         partial(
             _minhash_rows, num_perm=num_perm, bands=bands, shingle_n=shingle_n
@@ -479,21 +459,16 @@ def minhash_candidate_pairs(
         batch_format="pyarrow",
     )
 
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        pkey = pc.bit_wise_and(batch.column("bucket"), num_partitions - 1)
-        return batch.append_column("pkey", pkey)
-
-    keyed = sigs.map_batches(add_pkey, batch_format="pyarrow")
-    pairs = keyed.groupby("pkey").map_groups(
+    pairs = hash_reduce(
+        sigs,
+        ["bucket"],
         partial(
             bucket_pairs_partition,
             key_cols=["band", "bucket"],
             max_bucket=max_bucket,
             star=(pair_mode == "star"),
         ),
-        batch_format="pandas",
+        num_partitions=num_partitions or derive_num_partitions(docs),
     )
     return distinct_pairs(pairs)
 
@@ -798,9 +773,8 @@ def hamming_dup_pairs(
     ``image_phash_dups``) share the identical shuffle shape, hot-bucket
     cap and exact popcount verify."""
     assert max_hamming < chunks, "pigeonhole guarantee needs max_hamming < chunks"
-    from ctinexus_ray.ops.groupagg import derive_num_partitions
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
-    num_partitions = derive_num_partitions(sigs)
     bits_per_chunk = 64 // chunks
 
     def to_bands(batch: pa.Table) -> pa.Table:
@@ -818,11 +792,6 @@ def hamming_dup_pairs(
                 "band": pa.array(out_band, type=pa.int32()),
                 "val": pa.array(out_val, type=pa.int64()),
                 hash_col: pa.array(out_sig, type=pa.int64()),
-                "pkey": pa.array(
-                    (out_val + out_band.astype(np.int64) * 1_000_003)
-                    % num_partitions,
-                    type=pa.int64(),
-                ),
             }
         )
 
@@ -841,7 +810,9 @@ def hamming_dup_pairs(
         )
         return _popcount64(xor) <= max_hamming
 
-    pairs = bands.groupby("pkey").map_groups(
+    pairs = hash_reduce(
+        bands,
+        ["band", "val"],
         partial(
             bucket_pairs_partition,
             key_cols=["band", "val"],
@@ -850,7 +821,6 @@ def hamming_dup_pairs(
             verify=hamming_verify,
             star=(pair_mode == "star"),
         ),
-        batch_format="pandas",
     )
     return distinct_pairs(pairs)
 
@@ -870,9 +840,8 @@ def ngram_jaccard_pairs(
     """Exact all-pairs word-n-gram Jaccard >= threshold, computed
     distributedly in TWO shuffle rounds with no driver-side state:
 
-      1. explode distinct shingles per doc, keyed by
-         ``pkey = hash(shingle) mod num_partitions``; ``groupby(pkey)``
-         co-locates whole postings, and a VECTORIZED pandas self-merge
+      1. explode distinct shingles per doc; ``hash_reduce`` on the
+         shingle co-locates whole postings, and a VECTORIZED pandas self-merge
          per partition emits one (a, b, size_a, size_b) row per common
          shingle — singleton postings die in a size transform, hot
          postings are capped at ``max_posting`` (a stopword shingle
@@ -885,10 +854,13 @@ def ngram_jaccard_pairs(
     verbatim. ``num_partitions`` bounds per-task memory at corpus scale
     (``None`` derives from plan metadata).
     """
-    if num_partitions is None:
-        from ctinexus_ray.ops.groupagg import derive_num_partitions
+    from ctinexus_ray.ops.groupagg import (
+        derive_num_partitions,
+        hash_reduce,
+        partitioned_agg,
+    )
 
-        num_partitions = derive_num_partitions(docs)
+    num_partitions = num_partitions or derive_num_partitions(docs)
 
     def shingle_rows(batch: pa.Table) -> pa.Table:
         out_doc, out_sh, out_size = [], [], []
@@ -900,17 +872,11 @@ def ngram_jaccard_pairs(
                 out_doc.append(doc_id)
                 out_sh.append(s)
                 out_size.append(len(shingles))
-        # the partition key only co-locates equal shingles — any
-        # deterministic hash works, so use the vectorized one
-        pkeys = (hash64_strings(out_sh) % np.uint64(num_partitions)).astype(
-            np.int64
-        )
         return pa.Table.from_pydict(
             {
                 "doc_id": pa.array(out_doc, type=pa.int64()),
                 "shingle": pa.array(out_sh, type=pa.string()),
                 "set_size": pa.array(out_size, type=pa.int64()),
-                "pkey": pa.array(pkeys, type=pa.int64()),
             }
         )
 
@@ -954,11 +920,10 @@ def ngram_jaccard_pairs(
             }
         )
 
-    pair_partials = shingles.groupby("pkey").map_groups(
-        posting_pairs_partition, batch_format="pandas"
+    pair_partials = hash_reduce(
+        shingles, ["shingle"], posting_pairs_partition,
+        num_partitions=num_partitions,
     )
-
-    from ctinexus_ray.ops.groupagg import partitioned_agg
 
     # distinct (a, b) pairs grow with the corpus -> hash-partitioned
     # vectorized reduce, not a built-in per-key aggregate
@@ -1140,16 +1105,7 @@ def embedding_dup_pairs_lsh(
 
     # distinct buckets are corpus-cardinality -> Ray-level group key is a
     # hash partition (O(P) overhead); the per-bucket loop runs in pandas
-    from ctinexus_ray.ops.groupagg import derive_num_partitions
-
-    num_partitions = derive_num_partitions(embeddings)
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.append_column(
-            "pkey", pc.bit_wise_and(batch.column("bucket"), num_partitions - 1)
-        )
+    from ctinexus_ray.ops.groupagg import derive_num_partitions, hash_reduce
 
     def per_partition(g: pd.DataFrame) -> pd.DataFrame:
         frames = [per_bucket(sub) for _, sub in g.groupby("bucket", sort=False)]
@@ -1160,10 +1116,9 @@ def embedding_dup_pairs_lsh(
             )
         return pd.concat(frames, ignore_index=True)
 
-    return (
-        tagged.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(per_partition, batch_format="pandas")
+    return hash_reduce(
+        tagged, ["bucket"], per_partition,
+        num_partitions=derive_num_partitions(embeddings),
     )
 
 
@@ -1184,8 +1139,7 @@ def dup_span_stats(
 
     Two shuffle rounds, no driver-side state:
 
-      1. explode distinct sliding n-grams keyed by
-         ``pkey = hash(shingle) mod num_partitions`` — the groupby
+      1. explode distinct sliding n-grams; ``hash_reduce`` on the gram
          co-locates whole postings; a vectorized pandas size transform
          marks grams whose posting spans >= 2 documents and emits one
          (doc_id) row per duplicated gram
@@ -1194,10 +1148,13 @@ def dup_span_stats(
 
     Returns (doc_id, n_dup_grams) for documents with at least one
     duplicated span."""
-    from ctinexus_ray.ops.groupagg import derive_num_partitions, partitioned_agg
+    from ctinexus_ray.ops.groupagg import (
+        derive_num_partitions,
+        hash_reduce,
+        partitioned_agg,
+    )
 
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(docs)
+    num_partitions = num_partitions or derive_num_partitions(docs)
 
     def explode(batch: pa.Table):
         out_doc, out_sh = [], []
@@ -1214,14 +1171,10 @@ def dup_span_stats(
             out_sh.extend(seen)
         if not out_doc:
             return
-        pkeys = (hash64_strings(out_sh) % np.uint64(num_partitions)).astype(
-            np.int64
-        )
         yield pa.Table.from_pydict(
             {
                 "doc_id": pa.array(out_doc, type=pa.int64()),
                 "shingle": pa.array(out_sh, type=pa.string()),
-                "pkey": pa.array(pkeys, type=pa.int64()),
             }
         )
 
@@ -1234,8 +1187,8 @@ def dup_span_stats(
         kept = g[sizes >= 2]
         return pd.DataFrame({"doc_id": kept["doc_id"].astype("int64").values})
 
-    dup_rows = shingles.groupby("pkey").map_groups(
-        mark_dups, batch_format="pandas"
+    dup_rows = hash_reduce(
+        shingles, ["shingle"], mark_dups, num_partitions=num_partitions
     )
     return partitioned_agg(
         dup_rows,
@@ -1307,7 +1260,7 @@ def paragraph_dedup(
     Docs whose every chunk lost (pure duplicates) vanish — identical to
     SQL GROUP BY over winners. Output: (doc_id, n_kept, new_text).
     """
-    from .groupagg import add_hash_pkey, derive_num_partitions, partitioned_agg
+    from .groupagg import hash_reduce, partitioned_agg
 
     chunks = docs.map_batches(
         _chunk_explode_batch,
@@ -1341,11 +1294,6 @@ def paragraph_dedup(
         )
 
     kept = winners.map_batches(split_ord, batch_format="pyarrow")
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(kept)
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, ["doc_id"], num_partitions)
 
     def rebuild(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "chunk_idx"], kind="mergesort")
@@ -1357,10 +1305,8 @@ def paragraph_dedup(
         out["n_kept"] = out["n_kept"].astype("int64")
         return out[["doc_id", "n_kept", "new_text"]]
 
-    return (
-        kept.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(rebuild, batch_format="pandas")
+    return hash_reduce(
+        kept, ["doc_id"], rebuild, num_partitions=num_partitions
     )
 
 
@@ -1400,14 +1346,7 @@ def semdedup_keep(
 
     Output: (vec_id, cluster) of the survivors.
     """
-    from .groupagg import add_hash_pkey, derive_num_partitions
-
-    sel = embeddings.select_columns(["vec_id", cluster_col, "embedding"])
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(sel)
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, [cluster_col], num_partitions)
+    from .groupagg import hash_reduce
 
     empty = pa.Table.from_pydict(
         {
@@ -1460,10 +1399,12 @@ def semdedup_keep(
             }
         )
 
-    return (
-        sel.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(per_partition, batch_format="pyarrow")
+    return hash_reduce(
+        embeddings.select_columns(["vec_id", cluster_col, "embedding"]),
+        [cluster_col],
+        per_partition,
+        num_partitions=num_partitions,
+        batch_format="pyarrow",
     )
 
 
@@ -1642,10 +1583,10 @@ def remove_dup_spans(
     from ctinexus_ray.ops.groupagg import (
         derive_num_partitions,
         grouped_string_agg,
+        hash_reduce,
     )
 
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(docs)
+    num_partitions = num_partitions or derive_num_partitions(docs)
 
     def explode(batch: pa.Table):
         out_doc, out_pos, out_sh = [], [], []
@@ -1661,15 +1602,11 @@ def remove_dup_spans(
                 out_sh.append(" ".join(words[i : i + n]))
         if not out_doc:
             return
-        pkeys = (hash64_strings(out_sh) % np.uint64(num_partitions)).astype(
-            np.int64
-        )
         yield pa.Table.from_pydict(
             {
                 "doc_id": pa.array(out_doc, type=pa.int64()),
                 "start": pa.array(out_pos, type=pa.int64()),
                 "shingle": pa.array(out_sh, type=pa.string()),
-                "pkey": pa.array(pkeys, type=pa.int64()),
             }
         )
 
@@ -1687,7 +1624,9 @@ def remove_dup_spans(
             }
         )
 
-    starts = grams.groupby("pkey").map_groups(dup_starts, batch_format="pandas")
+    starts = hash_reduce(
+        grams, ["shingle"], dup_starts, num_partitions=num_partitions
+    )
     per_doc = grouped_string_agg(
         starts,
         key="doc_id",

@@ -7,8 +7,8 @@ driver-side state is allowed:
 
   hash_join             union of side-tagged rows -> ONE hash shuffle on the
                         key -> per-partition Arrow (Acero) join. Per-group
-                        overhead is O(P) (the Ray-level group key is
-                        ``pkey = hash(keys) mod P``, not the join key — see
+                        overhead is O(P) (``groupagg.hash_reduce`` groups by
+                        ``hash(keys) mod P``, not the join key — see
                         ``ops.groupagg`` for why per-key built-ins don't
                         scale), and the per-partition join is a vectorized
                         C++ kernel. Supports inner / left / right / full
@@ -36,7 +36,11 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ctinexus_ray.ops.groupagg import add_hash_pkey
+from ctinexus_ray.ops.groupagg import (
+    add_hash_pkey,
+    derive_num_partitions,
+    hash_reduce,
+)
 
 _JOIN_TYPES = {
     "inner": "inner",
@@ -90,7 +94,7 @@ def hash_join(
     Shuffle shape: each side's batches are projected into ONE shared arrow
     schema (missing columns become typed nulls) and tagged with ``_side``;
     the union makes a single dataset that shuffles ONCE on
-    ``pkey = hash(on) mod num_partitions``. Each partition holds every row
+    ``hash(on) mod num_partitions`` (``groupagg.hash_reduce``). Each partition holds every row
     of both sides for its key slice, so a per-partition
     ``pyarrow.Table.join`` (hash join in Arrow C++) produces exact results.
 
@@ -111,10 +115,7 @@ def hash_join(
     if how not in _JOIN_TYPES:
         raise ValueError(f"how must be one of {sorted(_JOIN_TYPES)}")
     if num_partitions is None:
-        from ctinexus_ray.ops.groupagg import derive_num_partitions
-
         num_partitions = derive_num_partitions(left, right)
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
     lfields = _schema_fields(left, left_types)
     rfields = _schema_fields(right, right_types)
     ltypes = dict(lfields)
@@ -172,10 +173,6 @@ def hash_join(
     tagged = left.map_batches(to_combined(0), batch_format="pyarrow").union(
         right.map_batches(to_combined(1), batch_format="pyarrow")
     )
-    keyed = tagged.map_batches(
-        lambda b: add_hash_pkey(b, on, num_partitions), batch_format="pyarrow"
-    )
-
     join_type = _JOIN_TYPES[how]
     out_cols = on + lcols + (
         [] if how in ("left_anti", "left_semi") else rcols
@@ -194,8 +191,9 @@ def hash_join(
         # pin the output schema (left-outer null fills must stay typed)
         return out.cast(out_schema)
 
-    return keyed.groupby("pkey").map_groups(
-        join_partition, batch_format="pyarrow"
+    return hash_reduce(
+        tagged, on, join_partition, num_partitions=num_partitions,
+        batch_format="pyarrow",
     )
 
 
@@ -212,8 +210,6 @@ def anti_join_ids(
     drop-set as a Python set). ``drop`` may be corpus-sized."""
     drop_key = drop_key or key
     if num_partitions is None:
-        from ctinexus_ray.ops.groupagg import derive_num_partitions
-
         num_partitions = derive_num_partitions(ds, drop)
     drops = drop.select_columns([drop_key])
     if drop_key != key:
@@ -314,8 +310,6 @@ def connected_components(
     (VERDICT.md: 800 s / 7 GB driver RSS at 400 k docs — the same input
     now takes one task)."""
     if num_partitions is None:
-        from ctinexus_ray.ops.groupagg import derive_num_partitions
-
         num_partitions = derive_num_partitions(pairs)
     i64 = pa.int64()
 
@@ -912,15 +906,11 @@ def bucketed_write(
     (``derive_num_partitions`` by default)."""
     import json
 
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, derive_num_partitions
-
     if n_buckets is None:
         n_buckets = derive_num_partitions(ds)
-    assert n_buckets & (n_buckets - 1) == 0, "power of two"
+    if n_buckets < 1 or n_buckets & (n_buckets - 1):
+        raise ValueError(f"n_buckets must be a power of two, got {n_buckets}")
     os.makedirs(out_dir, exist_ok=True)
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, on, n_buckets)
 
     def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
         import pyarrow.parquet as pq
@@ -934,7 +924,11 @@ def bucketed_write(
         return pd.DataFrame({"bucket": [bucket], "rows": [len(g)]})
 
     written = (
-        ds.map_batches(add_pkey, batch_format="pyarrow")
+        # the partition id IS the bucket file name, so this exchange
+        # keeps its own pkey instead of going through hash_reduce
+        ds.map_batches(
+            lambda b: add_hash_pkey(b, on, n_buckets), batch_format="pyarrow"
+        )
         .groupby("pkey")
         .map_groups(write_bucket, batch_format="pandas")
         .take_all()
@@ -1079,11 +1073,8 @@ def partitioned_attach(
     when the side can legitimately be EMPTY (a schemaless dataset, e.g.
     "no duplicate spans anywhere"): unmatched big rows then null-fill
     under the declared types instead of failing the probe."""
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, derive_num_partitions
-
     if num_partitions is None:
         num_partitions = derive_num_partitions(big, side)
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
 
     big_cols = big.schema().names
     if key not in big_cols:
@@ -1093,12 +1084,12 @@ def partitioned_attach(
         raise ValueError(f"partitioned_attach: columns already exist: {overlap}")
 
     def tag_big(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, [key], num_partitions).append_column(
+        return batch.append_column(
             "_side", pa.array([0] * batch.num_rows, type=pa.int8())
         )
 
     def tag_side(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, [key], num_partitions).append_column(
+        return batch.append_column(
             "_side", pa.array([1] * batch.num_rows, type=pa.int8())
         )
 
@@ -1124,7 +1115,7 @@ def partitioned_attach(
     shared = pa.schema(
         [pa.field(c, btypes[c]) for c in big_cols]
         + [pa.field(c, stypes[c]) for c in attach]
-        + [pa.field("pkey", pa.int64()), pa.field("_side", pa.int8())]
+        + [pa.field("_side", pa.int8())]
     )
 
     def conform(batch: pa.Table) -> pa.Table:
@@ -1139,7 +1130,6 @@ def partitioned_attach(
     unioned = big_t.map_batches(conform, batch_format="pyarrow").union(
         side_t.map_batches(conform, batch_format="pyarrow")
     )
-    return (
-        unioned.groupby("pkey")
-        .map_groups(merge_partition, batch_format="pandas")
+    return hash_reduce(
+        unioned, [key], merge_partition, num_partitions=num_partitions
     )

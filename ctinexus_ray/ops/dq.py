@@ -257,13 +257,10 @@ def range_checksums(
     import numpy as np
     import pandas as pd
 
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, derive_num_partitions
+    from ctinexus_ray.ops.groupagg import derive_num_partitions, hash_reduce
 
     if bucket_size <= 0:
         raise ValueError("bucket_size must be positive")
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(ds)
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
 
     def partial(batch: pa.Table):
         if batch.num_rows == 0:
@@ -292,14 +289,13 @@ def range_checksums(
             slot = acc.setdefault(b, [0, 0])
             slot[0] ^= h
             slot[1] += 1
-        out = pa.Table.from_pydict(
+        yield pa.Table.from_pydict(
             {
                 "bucket": pa.array(list(acc), type=pa.int64()),
                 "x": pa.array([v[0] for v in acc.values()], type=pa.int64()),
                 "n": pa.array([v[1] for v in acc.values()], type=pa.int64()),
             }
         )
-        yield add_hash_pkey(out, ["bucket"], num_partitions)
 
     def reduce_partition(g: pd.DataFrame) -> pd.DataFrame:
         def fold(s: pd.Series) -> int:
@@ -312,11 +308,12 @@ def range_checksums(
         )
         return out[["bucket", "checksum", "n_rows"]]
 
-    return (
+    return hash_reduce(
         ds.select_columns(list(dict.fromkeys([key_col] + cols)))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(reduce_partition, batch_format="pandas")
+        .map_batches(partial, batch_format="pyarrow"),
+        ["bucket"],
+        reduce_partition,
+        num_partitions=num_partitions or derive_num_partitions(ds),
     )
 
 

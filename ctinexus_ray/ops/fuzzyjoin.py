@@ -118,14 +118,13 @@ def edit_distance_pairs(
     exact contract.
     """
     from ctinexus_ray.ops.dedup import hash64_strings
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, derive_num_partitions
+    from ctinexus_ray.ops.groupagg import derive_num_partitions, hash_reduce
 
     sel = ds.select_columns([id_col, text_col])
-    if num_partitions is None:
-        # variant fan-out multiplies the row count ~L^d/d!; the pkey is
-        # derived from the exploded stream's own metadata downstream, so
-        # size off the input and let the explosion ride (short strings)
-        num_partitions = derive_num_partitions(sel)
+    # variant fan-out multiplies the row count ~L^d/d!; the exploded
+    # stream carries no size metadata, so size off the input and let
+    # the explosion ride (short strings)
+    num_partitions = num_partitions or derive_num_partitions(sel)
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch.column(id_col).to_pylist()
@@ -150,9 +149,6 @@ def edit_distance_pairs(
                 "txt": pa.array(out_txt, type=pa.string()),
             }
         )
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, ["vh"], num_partitions)
 
     empty = pd.DataFrame(
         {
@@ -206,26 +202,13 @@ def edit_distance_pairs(
             }
         )
 
-    pairs = (
-        sel.map_batches(explode, batch_format="pyarrow")
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(block_pairs, batch_format="pandas")
+    pairs = hash_reduce(
+        sel.map_batches(explode, batch_format="pyarrow"),
+        ["vh"], block_pairs, num_partitions=num_partitions,
     )
 
     # cross-partition distinct on the pair key; dist is pair-determined,
-    # so first-wins is exact (same mix-hash route as dedup.distinct_pairs)
-    import pyarrow.compute as pc
-
-    np2 = derive_num_partitions(pairs)
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        mix = pc.bit_wise_xor(
-            batch.column("id_a"), pc.shift_left(batch.column("id_b"), 13)
-        )
-        mix = pc.bit_wise_xor(mix, batch.column("id_b"))
-        return batch.append_column("pkey2", pc.bit_wise_and(mix, np2 - 1))
-
+    # so first-wins is exact (same route as dedup.distinct_pairs)
     def drop_dup(g: pd.DataFrame) -> pd.DataFrame:
         out = g.drop_duplicates(["id_a", "id_b"])
         return pd.DataFrame(
@@ -236,8 +219,4 @@ def edit_distance_pairs(
             }
         )
 
-    return (
-        pairs.map_batches(add_key, batch_format="pyarrow")
-        .groupby("pkey2")
-        .map_groups(drop_dup, batch_format="pandas")
-    )
+    return hash_reduce(pairs, ["id_a", "id_b"], drop_dup)

@@ -885,15 +885,13 @@ def bfs_hops(
         # candidates and visited co-locate by node, each partition emits
         # unique candidates not yet visited (two shuffles -> one; the
         # round-latency win measured 37 s -> ~20 s on the name graph)
-        from ctinexus_ray.ops.groupagg import add_hash_pkey
-
-        p = num_partitions or 16
+        from ctinexus_ray.ops.groupagg import hash_reduce
 
         def tag(side: int):
             def fn(batch: pa.Table):
                 if batch.num_rows == 0:
                     return
-                t = pa.Table.from_pydict(
+                yield pa.Table.from_pydict(
                     {
                         "node": batch.column("node").cast(i64),
                         "_side": pa.array(
@@ -901,7 +899,6 @@ def bfs_hops(
                         ),
                     }
                 )
-                yield add_hash_pkey(t, ["node"], p)
 
             return fn
 
@@ -919,7 +916,10 @@ def bfs_hops(
             return pa.Table.from_pydict({"node": pa.array(keep, type=i64)})
 
         new = _coalesce(
-            both.groupby("pkey").map_groups(fresh, batch_format="pyarrow")
+            hash_reduce(
+                both, ["node"], fresh, num_partitions=num_partitions or 16,
+                batch_format="pyarrow",
+            )
         )
         if new.count() == 0:
             break
@@ -1406,7 +1406,7 @@ def random_walks(
     no walk history ever sit on the driver. Output:
     (walk_id, step, node) for steps 0..walk_len.
     """
-    from ctinexus_ray.ops.groupagg import add_hash_pkey
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     int64 = pa.int64()
     edges = edges.select_columns(["a", "b"]).materialize()
@@ -1457,9 +1457,6 @@ def random_walks(
             right_types={"node": int64, "nbr": int64},
         )
 
-        def add_pkey(batch: pa.Table) -> pa.Table:
-            return add_hash_pkey(batch, ["walk_id"], num_partitions)
-
         def pick(g: "pd.DataFrame", _t=t) -> "pd.DataFrame":
             # per walk: sorted neighbors, index (w*A + t*B) mod deg —
             # vectorized via group offsets on the partition frame
@@ -1479,13 +1476,10 @@ def random_walks(
             rows = g.iloc[starts + idx]
             return rows[["walk_id", "nbr"]].rename(columns={"nbr": "node"})
 
-        frontier = (
-            fan.select_columns(["walk_id", "nbr"])
-            .map_batches(add_pkey, batch_format="pyarrow")
-            .groupby("pkey")
-            .map_groups(pick, batch_format="pandas")
-            .materialize()
-        )
+        frontier = hash_reduce(
+            fan.select_columns(["walk_id", "nbr"]), ["walk_id"], pick,
+            num_partitions=num_partitions,
+        ).materialize()
         out.append(tag(frontier, t))
 
     result = out[0]
@@ -1517,7 +1511,7 @@ def biased_random_walks(
     list ever materializes), one walk-partitioned vectorized pick.
     Output: (walk_id, step, node). Node ids must be < 2^31 (same
     pinned-hash contract as ``random_walks``)."""
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, derive_num_partitions
+    from ctinexus_ray.ops.groupagg import derive_num_partitions, hash_reduce
 
     if p <= 0 or q <= 0:
         raise ValueError("p and q must be positive")
@@ -1631,9 +1625,6 @@ def biased_random_walks(
             right_types={"pa_": int64, "pb_": int64, "adj": int64},
         )
 
-        def add_pkey(batch: pa.Table) -> pa.Table:
-            return add_hash_pkey(batch, ["walk_id"], num_partitions)
-
         def pick(g: "pd.DataFrame", _t=t) -> "pd.DataFrame":
             g = g.sort_values(["walk_id", "nbr"], kind="mergesort")
             w = g["walk_id"].to_numpy()
@@ -1668,13 +1659,10 @@ def biased_random_walks(
             out_ = out_.assign(prev=rows["cur"].to_numpy())
             return out_[["walk_id", "prev", "node"]]
 
-        frontier = (
-            marked.select_columns(["walk_id", "prev", "cur", "nbr", "adj"])
-            .map_batches(add_pkey, batch_format="pyarrow")
-            .groupby("pkey")
-            .map_groups(pick, batch_format="pandas")
-            .materialize()
-        )
+        frontier = hash_reduce(
+            marked.select_columns(["walk_id", "prev", "cur", "nbr", "adj"]),
+            ["walk_id"], pick, num_partitions=num_partitions,
+        ).materialize()
         out.append(tag(frontier, t))
 
     result = out[0]
@@ -1714,7 +1702,7 @@ def lpa_communities(
     """
     import pandas as pd
 
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, derive_num_partitions
+    from ctinexus_ray.ops.groupagg import derive_num_partitions, hash_reduce
 
     directed = _symmetrize_edges(edges, "src", "dst").materialize()
     if directed.count() == 0:
@@ -1749,8 +1737,7 @@ def lpa_communities(
             .size()
             .reset_index(name="n")
         )
-        out = pa.Table.from_pandas(df, preserve_index=False)
-        return add_hash_pkey(out, ["dst"], num_partitions)
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         cnt = (
@@ -1810,12 +1797,10 @@ def lpa_communities(
                 on=["src"],
                 num_partitions=num_partitions,
             )
-        labels = (
-            joined.map_batches(combine, batch_format="pyarrow")
-            .groupby("pkey")
-            .map_groups(pick, batch_format="pandas")
-            .materialize()
-        )
+        labels = hash_reduce(
+            joined.map_batches(combine, batch_format="pyarrow"),
+            ["dst"], pick, num_partitions=num_partitions,
+        ).materialize()
     return labels
 
 

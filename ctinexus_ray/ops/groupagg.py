@@ -8,9 +8,12 @@ users), the scalable shape is:
 
     1. map: add ``pkey = hash(keys) mod P``  (vectorized / cheap)
     2. ``groupby(pkey)`` — P groups only, so per-group overhead is O(P)
-    3. inside each partition: ONE vectorized ``pandas.groupby.agg`` over
-       all keys that hashed there
+    3. inside each partition: ONE vectorized pass (``partitioned_agg``:
+       a ``pandas.groupby.agg``) over all keys that hashed there
 
+``hash_reduce`` is that shape with a caller-supplied step 3 and the one
+place in the engine that builds it; ``partitioned_agg`` and every other
+key-co-locating reduce (joins, windows, pair generators) go through it.
 Partitioning by key hash co-locates every key's rows, so results are
 exact for order-free aggregates (sum/min/max/size/first-after-sort).
 ``num_partitions`` bounds per-task memory: size it ~ rows / comfortable
@@ -103,6 +106,56 @@ def add_hash_pkey(
     return batch.append_column("pkey", pc.bit_wise_and(mix, mask))
 
 
+def hash_reduce(
+    ds: ray.data.Dataset,
+    keys: list[str],
+    fn,
+    *,
+    num_partitions: int | None = None,
+    batch_format: str = "pandas",
+) -> ray.data.Dataset:
+    """The one grouped reduce: hash-partition rows by ``keys`` into
+    ``num_partitions`` groups and call ``fn`` once per partition.
+
+    Every row sharing a key value lands in the same partition (NULL key
+    values included), so ``fn`` sees each key's rows together alongside
+    other keys that hashed there; it returns a batch of zero or more
+    rows, as in ``map_batches``. ``fn`` gets the partition in
+    ``batch_format`` ("pandas" or "pyarrow") without the internal
+    ``pkey`` column, which is dropped zero-copy in Arrow first.
+    ``num_partitions=None`` derives the count from plan metadata
+    (``derive_num_partitions``, ~256 MB of input per reduce task); an
+    explicit count must be a power of two.
+
+    This is the only place that knows how a grouped reduce exchanges
+    rows: per-row combines that shrink the input stay the caller's own
+    ``map_batches`` and Ray fuses them with the map here.
+    """
+    from ray.data.block import BlockAccessor
+
+    if num_partitions is None:
+        num_partitions = derive_num_partitions(ds)
+    if num_partitions < 1 or num_partitions & (num_partitions - 1):
+        raise ValueError(
+            f"num_partitions must be a power of two, got {num_partitions}"
+        )
+    keys = list(keys)
+
+    def add_pkey(batch: pa.Table) -> pa.Table:
+        return add_hash_pkey(batch, keys, num_partitions)
+
+    def reduce(block):
+        part = BlockAccessor.for_block(block).to_arrow().drop_columns(["pkey"])
+        return fn(BlockAccessor.for_block(part).to_batch_format(batch_format))
+
+    reduce.__name__ = getattr(fn, "__name__", "reduce")  # operator label
+    return (
+        ds.map_batches(add_pkey, batch_format="pyarrow")
+        .groupby("pkey")
+        .map_groups(reduce, batch_format=None)
+    )
+
+
 def partitioned_agg(
     ds: ray.data.Dataset,
     keys: list[str],
@@ -114,16 +167,8 @@ def partitioned_agg(
     ``named_aggs`` maps output column -> (input column, pandas agg fn
     name), e.g. ``{"n_dups": ("doc_id", "size"), "doc_id": ("doc_id",
     "min")}``. Output columns: keys + named_aggs keys.
-    ``num_partitions=None`` derives the count from plan metadata
-    (``derive_num_partitions``, ~256 MB of input per reduce task).
+    ``num_partitions=None`` derives the count (see ``hash_reduce``).
     """
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(ds)
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, keys, num_partitions)
-
     spec = {out: (col, fn) for out, (col, fn) in named_aggs.items()}
 
     def reduce_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -138,11 +183,7 @@ def partitioned_agg(
                 out[kcol] = col.where(pd.notna(col), None)
         return out[keys + list(named_aggs)]
 
-    return (
-        ds.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(reduce_partition, batch_format="pandas")
-    )
+    return hash_reduce(ds, keys, reduce_partition, num_partitions=num_partitions)
 
 
 def rollup_counts(
@@ -324,13 +365,6 @@ def grouped_string_agg(
     Beware output-row width at scale: a key with millions of members
     builds a string of their concatenation — cap or bucket upstream if
     values-per-key is unbounded (same caveat as SQL string_agg)."""
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(ds)
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, [key], num_partitions)
-
     def agg_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, order_col], kind="mergesort")
         out_df = (
@@ -341,12 +375,11 @@ def grouped_string_agg(
         out_df.columns = [key, out]
         return out_df
 
-    cols = list(dict.fromkeys([key, value_col, order_col]))  # value may
-    return (  # BE the order column (e.g. posting lists sorted by id)
-        ds.select_columns(cols)
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(agg_partition, batch_format="pandas")
+    # the value may BE the order column (e.g. posting lists sorted by id)
+    cols = list(dict.fromkeys([key, value_col, order_col]))
+    return hash_reduce(
+        ds.select_columns(cols), [key], agg_partition,
+        num_partitions=num_partitions,
     )
 
 
@@ -449,9 +482,6 @@ def grouped_arg_extremum(
     pandas as float64 in the output (the usual Arrow->pandas nullable
     degradation) — pass non-null columns for exact integer outputs.
     """
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(ds)
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
     # order-preserving dedupe: tie_col may double as a payload column
     cols = list(dict.fromkeys(keys + [order_col, tie_col] + list(payload_cols)))
 
@@ -472,8 +502,7 @@ def grouped_arg_extremum(
 
     def combine(batch: pa.Table) -> pa.Table:
         df = candidates(batch.select(cols).to_pandas())
-        out = pa.Table.from_pandas(df, preserve_index=False)
-        return add_hash_pkey(out, keys, num_partitions)
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     def reduce_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g[cols]
@@ -497,9 +526,7 @@ def grouped_arg_extremum(
         )
         return out.join(lastr).reset_index()
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(combine, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(reduce_partition, batch_format="pandas")
+    return hash_reduce(
+        ds.select_columns(cols).map_batches(combine, batch_format="pyarrow"),
+        keys, reduce_partition, num_partitions=num_partitions,
     )

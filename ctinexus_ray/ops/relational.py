@@ -7,8 +7,9 @@ corpus-scale patterns the engine adds:
   * broadcast join — small side shipped ONCE via ``ray.put``, looked up
     inside ``map_batches`` (no shuffle of the big side)
   * tumbling window — vectorized epoch-bucket derivation + groupby
-  * sessionization — ``groupby(user).map_groups`` with in-group time sort
-    (the partitioning assumption: one user's events fit in one group)
+  * sessionization — ``groupagg.hash_reduce`` on the user with an
+    in-partition time sort (the partitioning assumption: one user's
+    events fit in one partition)
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ def hourly_event_counts(events: ray.data.Dataset) -> ray.data.Dataset:
     return agg.map_batches(rename, batch_format="pyarrow")
 
 
+def _ts_to_us(batch: pa.Table) -> pa.Table:
+    """Replace the ``ts`` column by ``ts_us``, its int64 microseconds."""
+    return batch.append_column(
+        "ts_us", batch.column("ts").cast(pa.int64())
+    ).drop_columns(["ts"])
+
+
 def sessionize(events: ray.data.Dataset, gap_seconds: int = 1800) -> ray.data.Dataset:
     """Per-user session counts with a ``gap_seconds`` inactivity gap:
     (user_id, n_sessions, n_events).
@@ -66,16 +74,7 @@ def sessionize(events: ray.data.Dataset, gap_seconds: int = 1800) -> ray.data.Da
     pathological users would need day-salting (documented partitioning
     assumption).
     """
-    import pyarrow.compute as pc
-
-    num_partitions = 64
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").cast(pa.int64())
-        mix = pc.bit_wise_xor(pc.shift_left(uid, 13), uid)
-        return batch.append_column(
-            "pkey", pc.bit_wise_and(mix, num_partitions - 1)
-        )
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     def reduce_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -96,11 +95,9 @@ def sessionize(events: ray.data.Dataset, gap_seconds: int = 1800) -> ray.data.Da
             }
         )
 
-    return (
-        events.select_columns(["event_id", "ts", "user_id"])
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(reduce_partition, batch_format="pandas")
+    return hash_reduce(
+        events.select_columns(["event_id", "ts", "user_id"]),
+        ["user_id"], reduce_partition, num_partitions=64,
     )
 
 
@@ -268,12 +265,9 @@ def grouped_topn(
     per-group cumcount) — O(P) per-group overhead, no per-group Python.
     Same partitioning assumption as sessionize: one group's rows fit in a
     partition."""
-    from ctinexus_ray.ops.groupagg import add_hash_pkey
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     cols = [group_key, order_col, tiebreak_col]
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, [group_key], num_partitions)
 
     def rank_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -291,11 +285,9 @@ def grouped_topn(
             drop=True
         )
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(rank_partition, batch_format="pandas")
+    return hash_reduce(
+        ds.select_columns(cols), [group_key], rank_partition,
+        num_partitions=num_partitions,
     )
 
 
@@ -319,7 +311,7 @@ def asof_join(
     ``on`` must be a monotonic-comparable dtype (int64 epoch recommended;
     timestamps work). Ties on ``on`` within a key are resolved toward the
     LAST right row in sort order, matching SQL ASOF's max(right.on)."""
-    from ctinexus_ray.ops.groupagg import add_hash_pkey
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     def tag(side: int, keep: list[str]):
         def fn(batch: pa.Table):
@@ -355,9 +347,6 @@ def asof_join(
         )
     )
 
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, [by], num_partitions)
-
     out_cols = lcols + [f"{c}_right" for c in right_attach]
 
     def asof_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -377,10 +366,8 @@ def asof_join(
         )
         return merged[out_cols].reset_index(drop=True)
 
-    return (
-        tagged.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(asof_partition, batch_format="pandas")
+    return hash_reduce(
+        tagged, [by], asof_partition, num_partitions=num_partitions
     )
 
 
@@ -453,17 +440,12 @@ def rolling_user_windows(
     for each user's first event (sentinel instead of NULL so the column
     stays non-nullable int64 — pandas/DuckDB render NULL ints
     differently, and downstream arithmetic needs a concrete type)."""
-    from ctinexus_ray.ops.groupagg import add_hash_pkey
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
-    def add_pkey(batch: pa.Table) -> pa.Table:
+    def to_cents(batch: pa.Table) -> pa.Table:
         cents = pc.round(pc.multiply(batch.column("value"), 100.0))
         batch = batch.append_column("cents", cents.cast(pa.int64()))
-        batch = batch.append_column(
-            "ts_us", batch.column("ts").cast(pa.int64())
-        )
-        return add_hash_pkey(
-            batch.drop_columns(["value", "ts"]), ["user_id"], num_partitions
-        )
+        return _ts_to_us(batch.drop_columns(["value"]))
 
     def window_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
@@ -482,11 +464,10 @@ def rolling_user_windows(
             }
         )
 
-    return (
+    return hash_reduce(
         events.select_columns(["event_id", "user_id", "ts", "value"])
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(window_partition, batch_format="pandas")
+        .map_batches(to_cents, batch_format="pyarrow"),
+        ["user_id"], window_partition, num_partitions=num_partitions,
     )
 
 
@@ -627,7 +608,7 @@ def band_join_count(
     """
     import numpy as np
 
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, partitioned_agg
+    from ctinexus_ray.ops.groupagg import hash_reduce, partitioned_agg
 
     assert upper >= lower, "empty band"
     bucket = max(upper - lower, 1)
@@ -687,9 +668,6 @@ def band_join_count(
         )
     )
 
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, ["bucket"], num_partitions)
-
     def count_partition(g: pd.DataFrame) -> pd.DataFrame:
         probes = g[~g["is_right"]]
         if len(probes) == 0:
@@ -723,10 +701,8 @@ def band_join_count(
                 out_n[sel] = hi - lo
         return pd.DataFrame({left_id: out_ids, "_n": out_n})
 
-    partials = (
-        tagged.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(count_partition, batch_format="pandas")
+    partials = hash_reduce(
+        tagged, ["bucket"], count_partition, num_partitions=num_partitions
     )
     return partitioned_agg(
         partials,
@@ -843,15 +819,7 @@ def event_transition_counts(
     Output: (prev_type, event_type, n)."""
     from ray.data.aggregate import Sum
 
-    from ctinexus_ray.ops.groupagg import add_hash_pkey
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(
-            "ts_us", batch.column("ts").cast(pa.int64())
-        )
-        return add_hash_pkey(
-            batch.drop_columns(["ts"]), ["user_id"], num_partitions
-        )
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     def transitions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
@@ -872,11 +840,10 @@ def event_transition_counts(
         out["n"] = out["n"].astype("int64")
         return out
 
-    partials = (
+    partials = hash_reduce(
         events.select_columns(["event_id", "user_id", "ts", "event_type"])
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(transitions, batch_format="pandas")
+        .map_batches(_ts_to_us, batch_format="pyarrow"),
+        ["user_id"], transitions, num_partitions=num_partitions,
     )
     return partials.groupby(["prev_type", "event_type"]).aggregate(Sum("n"))
 
@@ -895,15 +862,7 @@ def funnel_users(
     One hash shuffle on user_id; per partition each step is ONE pandas
     groupby.min over the events of that type later than the user's
     previous-step time — no per-user Python. Output: (user_id)."""
-    from ctinexus_ray.ops.groupagg import add_hash_pkey
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(
-            "ts_us", batch.column("ts").cast(pa.int64())
-        )
-        return add_hash_pkey(
-            batch.drop_columns(["ts"]), ["user_id"], num_partitions
-        )
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     def scan(g: pd.DataFrame) -> pd.DataFrame:
         # state: per-user completion time of the previous step
@@ -920,11 +879,10 @@ def funnel_users(
             {"user_id": pd.Series(state.index, dtype="int64")}
         )
 
-    return (
+    return hash_reduce(
         events.select_columns(["user_id", "ts", "event_type"])
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(scan, batch_format="pandas")
+        .map_batches(_ts_to_us, batch_format="pyarrow"),
+        ["user_id"], scan, num_partitions=num_partitions,
     )
 
 
@@ -939,17 +897,9 @@ def session_intervals(
     microseconds — exactly the SQL lag/cumsum-window formulation). One
     user-hash shuffle; sort + shift + cumsum + grouped min/max, all
     vectorized per partition."""
-    from ctinexus_ray.ops.groupagg import add_hash_pkey
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     gap_us = gap_seconds * 1_000_000
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(
-            "ts_us", batch.column("ts").cast(pa.int64())
-        )
-        return add_hash_pkey(
-            batch.drop_columns(["ts"]), ["user_id"], num_partitions
-        )
 
     def to_intervals(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
@@ -972,11 +922,10 @@ def session_intervals(
             }
         )
 
-    return (
+    return hash_reduce(
         events.select_columns(["event_id", "user_id", "ts"])
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(to_intervals, batch_format="pandas")
+        .map_batches(_ts_to_us, batch_format="pyarrow"),
+        ["user_id"], to_intervals, num_partitions=num_partitions,
     )
 
 
@@ -1007,6 +956,7 @@ def interval_overlap_pairs(
     merges) — an engaged cap logs a warning with the dropped-interval
     count, never truncates silently. ``bucket_us`` trades replication
     (long intervals) against bucket width (pair fan-in)."""
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     def explode(batch: pa.Table):
         if batch.num_rows == 0:
@@ -1026,7 +976,6 @@ def interval_overlap_pairs(
                 "s": pa.array(np.repeat(s, nb), type=pa.int64()),
                 "e": pa.array(np.repeat(e, nb), type=pa.int64()),
                 "bucket": pa.array(bucket, type=pa.int64()),
-                "pkey": pa.array(bucket % num_partitions, type=pa.int64()),
             }
         )
 
@@ -1064,8 +1013,8 @@ def interval_overlap_pairs(
             }
         )
 
-    return exploded.groupby("pkey").map_groups(
-        pairs_partition, batch_format="pandas"
+    return hash_reduce(
+        exploded, ["bucket"], pairs_partition, num_partitions=num_partitions
     )
 
 
@@ -1093,11 +1042,7 @@ def grouped_running_sum(
     on both sides. Output: (group_key, *order_cols, run_units:int64,
     run_n:int64).
     """
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, derive_num_partitions
-
-    sel = ds.select_columns([group_key, *order_cols, value_col])
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(sel)
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     def add_units(batch: pa.Table) -> pa.Table:
         v = batch.column(value_col).to_numpy(zero_copy_only=False)
@@ -1110,10 +1055,9 @@ def grouped_running_sum(
         units = np.where(
             np.isnan(v), 0, np.floor(v * scale + 0.5)
         ).astype(np.int64)
-        batch = batch.drop_columns([value_col]).append_column(
+        return batch.drop_columns([value_col]).append_column(
             "__units", pa.array(units, type=pa.int64())
         )
-        return add_hash_pkey(batch, [group_key], num_partitions)
 
     def run_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([group_key, *order_cols], kind="mergesort")
@@ -1123,10 +1067,10 @@ def grouped_running_sum(
         out["run_n"] = (grp.cumcount() + 1).astype("int64").values
         return out
 
-    return (
-        sel.map_batches(add_units, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(run_partition, batch_format="pandas")
+    return hash_reduce(
+        ds.select_columns([group_key, *order_cols, value_col])
+        .map_batches(add_units, batch_format="pyarrow"),
+        [group_key], run_partition, num_partitions=num_partitions,
     )
 
 
@@ -1241,29 +1185,18 @@ def basket_pairs(
     touching every item) explodes quadratically, so ``max_basket``
     RAISES (never silently drops) when a basket exceeds it; pre-cap
     baskets upstream with an explicit sample if that fires."""
-    from ctinexus_ray.ops.groupagg import (
-        add_hash_pkey,
-        derive_num_partitions,
-        partitioned_agg,
-    )
+    from ctinexus_ray.ops.groupagg import hash_reduce, partitioned_agg
 
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(ds)
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
-
-    sel = ds.select_columns([basket_col, item_col])
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
+    def drop_nulls(batch: pa.Table) -> pa.Table:
         # NULL basket ids or items join to nothing in SQL (the oracle's
         # equi-join emits no 'null basket'); pandas merge would instead
         # match NaN==NaN and a null item would crash the < comparison
-        batch = batch.filter(
+        return batch.filter(
             pc.and_(
                 pc.is_valid(batch.column(basket_col)),
                 pc.is_valid(batch.column(item_col)),
             )
         )
-        return add_hash_pkey(batch, [basket_col], num_partitions)
 
     def pairs_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g[[basket_col, item_col]].drop_duplicates()
@@ -1283,10 +1216,10 @@ def basket_pairs(
             columns={f"{item_col}_1": "t1", f"{item_col}_2": "t2"}
         )[["t1", "t2"]]
 
-    pair_rows = (
-        sel.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(pairs_partition, batch_format="pandas")
+    pair_rows = hash_reduce(
+        ds.select_columns([basket_col, item_col])
+        .map_batches(drop_nulls, batch_format="pyarrow"),
+        [basket_col], pairs_partition, num_partitions=num_partitions,
     )
     counts = partitioned_agg(
         pair_rows,
@@ -1532,12 +1465,9 @@ def scd2_history(
     """
     import numpy as np
 
-    from ctinexus_ray.ops.groupagg import add_hash_pkey
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     cols = [key_col, ts_col, tie_col, *payload_cols]
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch.select(cols), [key_col], num_partitions)
 
     def window(g: pd.DataFrame) -> pd.DataFrame:
         g = g[cols].sort_values([key_col, ts_col, tie_col], kind="mergesort")
@@ -1555,11 +1485,9 @@ def scd2_history(
         )
         return out.reset_index(drop=True)
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(window, batch_format="pandas")
+    return hash_reduce(
+        ds.select_columns(cols), [key_col], window,
+        num_partitions=num_partitions,
     )
 
 
@@ -1690,16 +1618,15 @@ def interval_union_length(
     """
     import numpy as np
 
-    from ctinexus_ray.ops.groupagg import add_hash_pkey
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        t = pa.Table.from_pydict(
+    def to_us(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pydict(
             {
                 "u": batch.column(user_col).cast(pa.int64()),
                 "s": batch.column(ts_col).cast(pa.int64()),
             }
         )
-        return add_hash_pkey(t, ["u"], num_partitions)
 
     def reduce_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["u", "s"], kind="mergesort")
@@ -1743,11 +1670,10 @@ def interval_union_length(
             }
         )
 
-    return (
+    return hash_reduce(
         events.select_columns([user_col, ts_col])
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(reduce_partition, batch_format="pandas")
+        .map_batches(to_us, batch_format="pyarrow"),
+        ["u"], reduce_partition, num_partitions=num_partitions,
     )
 
 
@@ -1779,18 +1705,10 @@ def funnel_users_windowed(
     """
     import numpy as np
 
-    from ctinexus_ray.ops.groupagg import add_hash_pkey
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     if len(steps) < 2:
         raise ValueError("funnel needs at least 2 steps")
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(
-            "ts_us", batch.column("ts").cast(pa.int64())
-        )
-        return add_hash_pkey(
-            batch.drop_columns(["ts"]), ["user_id"], num_partitions
-        )
 
     window_us = window_s * 1_000_000
 
@@ -1842,9 +1760,8 @@ def funnel_users_windowed(
         users = np.unique(uniq[cand_rank[hit]])
         return pd.DataFrame({"user_id": pd.Series(users, dtype="int64")})
 
-    return (
+    return hash_reduce(
         events.select_columns(["user_id", "ts", "event_type"])
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(scan, batch_format="pandas")
+        .map_batches(_ts_to_us, batch_format="pyarrow"),
+        ["user_id"], scan, num_partitions=num_partitions,
     )

@@ -774,11 +774,7 @@ def grouped_sample_k(
 
     import pandas as pd
 
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, derive_num_partitions
-
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(ds)
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
+    from ctinexus_ray.ops.groupagg import derive_num_partitions, hash_reduce
 
     def cut(df: pd.DataFrame) -> pd.DataFrame:
         # md5 ties are broken by the id itself so the pick is total
@@ -798,20 +794,16 @@ def grouped_sample_k(
         else:
             digests = [md5(str(i).encode()).hexdigest() for i in ids]
         t = batch.append_column("__digest", pa.array(digests, type=pa.string()))
-        out = cut(t.to_pandas())
-        return add_hash_pkey(
-            pa.Table.from_pandas(out, preserve_index=False),
-            [group_col],
-            num_partitions,
-        )
+        return pa.Table.from_pandas(cut(t.to_pandas()), preserve_index=False)
 
     def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
-        return cut(df).drop(columns=["__digest", "pkey"])
+        return cut(df).drop(columns=["__digest"])
 
-    return (
-        ds.map_batches(local_cut, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(reduce_group, batch_format="pandas")
+    return hash_reduce(
+        ds.map_batches(local_cut, batch_format="pyarrow"),
+        [group_col],
+        reduce_group,
+        num_partitions=num_partitions or derive_num_partitions(ds),
     )
 
 

@@ -99,16 +99,7 @@ def _merge_topk(partials: ray.data.Dataset, k: int) -> ray.data.Dataset:
     Hash-partitioned on query_id with a fully vectorized per-partition
     rank (sort + per-query cumcount) — per-group overhead is O(P), so
     batch workloads with many queries don't pay per-query Python."""
-    import pyarrow.compute as pc
-
-    num_partitions = 64
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        qid = batch.column("query_id")
-        mix = pc.bit_wise_xor(pc.shift_left(qid, 13), qid)
-        return batch.append_column(
-            "pkey", pc.bit_wise_and(mix, num_partitions - 1)
-        )
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     def merge_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -128,10 +119,8 @@ def _merge_topk(partials: ray.data.Dataset, k: int) -> ray.data.Dataset:
             }
         )
 
-    return (
-        partials.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(merge_partition, batch_format="pandas")
+    return hash_reduce(
+        partials, ["query_id"], merge_partition, num_partitions=64
     )
 
 
@@ -906,7 +895,7 @@ def margin_bitext(
     Approximate-free but float-mean-based -> rows-only in the driver
     contract; pinned against a sequential numpy reference in tests
     (exact anchor: ``similarity_topk`` ✓SQL)."""
-    import pyarrow.compute as pc
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     src_rows = (
         emb_with_lang.filter(expr=f"lang == '{src_lang}'")
@@ -974,15 +963,6 @@ def margin_bitext(
         .map_batches(scan, batch_format="pyarrow")
     )
 
-    num_partitions = 64
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        q = batch.column("src_id")
-        mix = pc.bit_wise_xor(pc.shift_left(q, 13), q)
-        return batch.append_column(
-            "pkey", pc.bit_wise_and(mix, num_partitions - 1)
-        )
-
     def finalize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
             ["src_id", "sim", "dst_id"],
@@ -1014,11 +994,7 @@ def margin_bitext(
             }
         )
 
-    return (
-        partials.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(finalize, batch_format="pandas")
-    )
+    return hash_reduce(partials, ["src_id"], finalize, num_partitions=64)
 
 
 # ---------------------------------------------------------------------------

@@ -744,24 +744,10 @@ def text_index_proximity(
             }
         )
 
-    # hash-partition by doc so both words' postings of a doc co-locate;
-    # plain modulo — correctness holds for ANY partition count (the
-    # groupby keeps a doc's rows together regardless of the mapping)
-    P = num_partitions or 16
-    if P < 1:
-        raise ValueError("num_partitions must be >= 1")
+    # hash-partition by doc so both words' postings of a doc co-locate
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        v = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "pkey", pa.array((v % P).astype(np.int64), type=pa.int64())
-        )
-
-    return (
-        postings.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(
-            lambda df: count_pairs(pa.Table.from_pandas(df.drop(columns=["pkey"]), preserve_index=False)).to_pandas(),
-            batch_format="pandas",
-        )
+    return hash_reduce(
+        postings, ["doc_id"], count_pairs,
+        num_partitions=num_partitions or 16, batch_format="pyarrow",
     )

@@ -113,17 +113,9 @@ def keep_latest_by_key(
     vectorized sort + ``drop_duplicates`` over all keys that hashed
     there. All non-key columns ride along, so the survivor row keeps its
     full payload (html/text/metadata) without a second join."""
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, derive_num_partitions
-
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(ds)
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return add_hash_pkey(batch, [key], num_partitions)
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     def reduce_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["pkey"])
         g = g.sort_values(
             [key, *order_cols],
             ascending=[True] + [False] * len(order_cols),
@@ -133,8 +125,6 @@ def keep_latest_by_key(
         g = g.assign(**{n_col: sizes.astype("int64")})
         return g.drop_duplicates(key, keep="first")
 
-    return (
-        ds.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(reduce_partition, batch_format="pandas")
+    return hash_reduce(
+        ds, [key], reduce_partition, num_partitions=num_partitions
     )

@@ -4,11 +4,11 @@
       -> map_batches(extract_batch)            # E0-E3, stateless, drops html
       -> map_batches(KGDocStage, concurrency)  # IE+ET+EA+LP fused actor pool
       -> map_batches(explode_triples_batch)    # nested -> flat triples
-      -> [entity partials -> groupby(entity_key) -> nodes]   # THE wide shuffle
+      -> [entity partials -> partitioned_agg(entity_key) -> nodes]  # THE wide shuffle
       -> write_parquet(triples/nodes/edges)
 
 Everything streams; nothing materializes the corpus. The only all-to-all
-exchange is the canonicalization groupby, fed by map-side-combined partials
+exchange is the canonicalization reduce, fed by map-side-combined partials
 (one row per (doc, entity)) — see SURVEY §7.3 for the skew rationale.
 """
 
@@ -29,6 +29,11 @@ from ctinexus_ray.stages.triples import (
 )
 
 DOCUMENT_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
+KG_DOC_COLUMNS = [
+    "url", "kg_aligned_json", "kg_links_json", "triples_count",
+    "mentions_num", "entity_num", "subgraph_num", "dropped_triplets",
+    "llm_input_tokens", "llm_output_tokens", "embed_tokens",
+]
 
 
 def read_documents(paths: str | list[str], columns: list[str] | None = None) -> ray.data.Dataset:
@@ -94,14 +99,15 @@ def canonicalize_node_partials(
     """Cross-document entity canonicalization — the one wide shuffle.
 
     Input: per-DOCUMENT kg rows (``kg_aligned_json`` [+ ``kg_links_json``])
-    — doc-aligned batching keeps doc counts exact. Two map-side combine
-    levels (entity_partials_batch) -> a single ``groupby(entity_key)``
-    with BUILT-IN vectorized aggregates (Sum/Max) -> a cheap strip map.
-
-    No per-group Python function runs anywhere on this path: with 10^9+
-    distinct entities, a per-group ``map_groups`` callback pays ~1 ms of
-    interpreter overhead per key and dominates the job (measured at 400k
-    docs before this design).
+    — doc-aligned batching keeps doc counts exact. A map-side combine
+    (``entity_partials_batch``: one row per (doc, entity)) feeds ONE
+    ``partitioned_agg`` on ``entity_key``: P hash partitions, each
+    reduced by a single vectorized pandas groupby.agg (Max/Sum) over all
+    the keys that hashed there. Ray's built-in per-key aggregates pay
+    per-group overhead linear in distinct entities (measured 16.4 s over
+    436 k entities at 400 k docs vs ~4 s this way); here the Python cost
+    is per partition, not per entity. Partitioning by key hash keeps
+    every key's rows together, so results are exact.
 
     Canonical rules (deterministic regardless of partitioning; the
     reference's A1 most-frequent-mention rule applies WITHIN a document,
@@ -112,55 +118,24 @@ def canonicalize_node_partials(
         in-doc mention count, ties toward the lexicographically greatest
         class (pre-encoded in ``class_rank`` so a plain Max suffices)
       * doc_count / mention_count = exact Sums of the batch partials
-
-    The reduce is a hash-partitioned groupby (``entity_key`` mod P) with
-    one VECTORIZED pandas groupby.agg per partition — NOT a built-in
-    per-key aggregate, whose per-group overhead is linear in distinct
-    entities (measured 16.4 s over 436 k entities at 400 k docs vs ~4 s
-    this way; at 10^9 entities the difference is fatal). Partitioning by
-    key hash keeps every key's rows together, so results are exact.
     """
-    import pandas as pd
-    import pyarrow.compute as pc
+    from ctinexus_ray.ops.groupagg import partitioned_agg
 
     partials = docs_kg_ds.map_batches(
         entity_partials_batch,
         batch_format="pyarrow",
         batch_size=config.cpu_batch_size,
     )
-    num_partitions = config.canon_num_partitions or 64
-    assert num_partitions & (num_partitions - 1) == 0, "power of two"
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "pkey", pc.bit_wise_and(batch.column("entity_key"), num_partitions - 1)
-        )
-
-    def reduce_partition(g: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            g.groupby("entity_key", sort=False)
-            .agg(
-                entity_text=("entity_text", "max"),
-                class_rank=("class_rank", "max"),
-                doc_count=("doc_count", "sum"),
-                mention_count=("mention_count", "sum"),
-            )
-            .reset_index()
-        )
-        return pd.DataFrame(
-            {
-                "entity_key": out["entity_key"].astype("int64").values,
-                "entity_text": out["entity_text"].values,
-                "class_rank": out["class_rank"].values,
-                "doc_count": out["doc_count"].astype("int64").values,
-                "mention_count": out["mention_count"].astype("int64").values,
-            }
-        )
-
-    return (
-        partials.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(reduce_partition, batch_format="pandas")
+    return partitioned_agg(
+        partials,
+        ["entity_key"],
+        {
+            "entity_text": ("entity_text", "max"),
+            "class_rank": ("class_rank", "max"),
+            "doc_count": ("doc_count", "sum"),
+            "mention_count": ("mention_count", "sum"),
+        },
+        config.canon_num_partitions or 64,
     )
 
 
@@ -207,11 +182,15 @@ def metrics_dataset(kg_ds: ray.data.Dataset) -> ray.data.Dataset:
     """Corpus-level stage metrics (A2/A3): token totals + doc/triple/entity
     counters, reduced from the per-doc columns via a tiny groupby."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     def to_rows(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
+
         def s(col):
-            return sum(batch.column(col).to_pylist()) if col in batch.column_names else 0
+            if col not in batch.column_names:
+                return 0
+            return pc.sum(batch.column(col)).as_py() or 0
         return pa.Table.from_pydict(
             {
                 "stage": ["kg"],
@@ -268,11 +247,7 @@ def run_kg_to_parquet(
     kg = run_kg_stage(extracted, config, demos)
 
     docs_kg_path = str(out / "docs_kg")
-    kg.select_columns(
-        ["url", "kg_aligned_json", "kg_links_json", "triples_count",
-         "mentions_num", "entity_num", "subgraph_num", "dropped_triplets",
-         "llm_input_tokens", "llm_output_tokens", "embed_tokens"]
-    ).write_parquet(docs_kg_path)
+    kg.select_columns(KG_DOC_COLUMNS).write_parquet(docs_kg_path)
 
     paths = _write_derived_outputs(docs_kg_path, out, config)
     return {"docs_kg": docs_kg_path, **paths}
@@ -342,22 +317,16 @@ def _write_derived_outputs(docs_kg_path: str, out, config: PipelineConfig) -> di
         name: (lambda ds=ds, path=path: ds.write_parquet(path))
         for name, (ds, path) in plans.items()
     }
-    import os
-
     # Concurrency across executions overlaps their fixed per-execution
     # latency (~1s each) — a win only while the checkpoint is small.
     # Once the corpus is large each derivation saturates the cluster on
     # its own and running them concurrently just contends for CPU and
     # object-store memory (measured 28% slower at 400k docs), so fall
-    # back to serial above a size threshold. Override via env.
-    env = os.environ.get("CTINEXUS_DERIVED_WORKERS")
-    if env:
-        workers = max(1, int(env))
-    else:
-        ckpt_bytes = sum(
-            f.stat().st_size for f in Path(docs_kg_path).glob("**/*") if f.is_file()
-        )
-        workers = 4 if ckpt_bytes < 64 * 1024 * 1024 else 1
+    # back to serial above a size threshold.
+    ckpt_bytes = sum(
+        f.stat().st_size for f in Path(docs_kg_path).glob("**/*") if f.is_file()
+    )
+    workers = 4 if ckpt_bytes < 64 * 1024 * 1024 else 1
     with cf.ThreadPoolExecutor(max_workers=workers) as ex:
         futures = {name: ex.submit(fn) for name, fn in jobs.items()}
         for name, fut in futures.items():
@@ -368,13 +337,6 @@ def _write_derived_outputs(docs_kg_path: str, out, config: PipelineConfig) -> di
         "edges": edges_path,
         "metrics": metrics_path,
     }
-
-
-KG_DOC_COLUMNS = [
-    "url", "kg_aligned_json", "kg_links_json", "triples_count",
-    "mentions_num", "entity_num", "subgraph_num", "dropped_triplets",
-    "llm_input_tokens", "llm_output_tokens", "embed_tokens",
-]
 
 
 def checkpoint_docs_kg(

@@ -118,7 +118,7 @@ def _fold_nodes(
         key_col="entity_key",
         value_cols=_NODE_VALUE_COLS,
         batch_id=[_bid(p) for p, _ in todo],
-        num_partitions=config.canon_num_partitions,
+        num_partitions=config.canon_num_partitions or None,
         value_types=_NODE_VALUE_TYPES,
     )
     return len(todo)
@@ -134,7 +134,7 @@ def _fold_metrics(
     if not todo:
         return 0
 
-    def add_key(batch: pa.Table) -> pa.Table:
+    def with_stage_key(batch: pa.Table) -> pa.Table:
         keys = hash64_strings(
             batch.column("stage").to_pylist()
         ).astype(np.int64)
@@ -153,7 +153,7 @@ def _fold_metrics(
                 "llm_output_tokens", "embed_tokens",
             ],
         )
-    ).map_batches(add_key, batch_format="pyarrow")
+    ).map_batches(with_stage_key, batch_format="pyarrow")
     apply_delta(
         view_dir,
         delta,

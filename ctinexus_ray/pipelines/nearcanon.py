@@ -19,6 +19,8 @@ embedding near-dup at corpus scale).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -27,6 +29,7 @@ import ray.data
 
 from ctinexus_ray.config import PipelineConfig
 from ctinexus_ray.llm.client import get_client
+from ctinexus_ray.ops.groupagg import hash_reduce
 
 
 def _hash_unit(tag: str, dim: int) -> np.ndarray:
@@ -182,7 +185,7 @@ def _partition_pairs(
     g: pd.DataFrame, threshold: float, max_bucket: int, star: bool = True
 ) -> pd.DataFrame:
     """Near pairs for one hash partition of bucket rows. The Ray-level
-    group key is ``pkey = bucket mod P`` (O(P) per-group overhead —
+    reduce is ``hash_reduce`` on the bucket (O(P) per-group overhead —
     distinct buckets are corpus-cardinality); the inner loop over the
     partition's buckets is plain pandas with a vectorized cosine verify
     per bucket. Duplicate edges (same pair found in several tables)
@@ -297,20 +300,13 @@ def near_canonical_mapping(
         concurrency=(1, 8),
     )
     num_partitions = 64
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.append_column(
-            "pkey", pc.bit_wise_and(batch.column("bucket"), num_partitions - 1)
-        )
-
     star = pair_mode == "star"
-    pairs = embedded.map_batches(add_pkey, batch_format="pyarrow").groupby(
-        "pkey"
-    ).map_groups(
-        lambda g: _partition_pairs(g, threshold, max_bucket, star=star),
-        batch_format="pandas",
+    pairs = hash_reduce(
+        embedded,
+        ["bucket"],
+        partial(_partition_pairs, threshold=threshold, max_bucket=max_bucket,
+                star=star),
+        num_partitions=num_partitions,
     )
 
     if llm_verify:
@@ -379,7 +375,7 @@ def _distributed_mapping(
     import pandas as pd
 
     from ctinexus_ray.ops.distjoin import connected_components, hash_join
-    from ctinexus_ray.ops.groupagg import add_hash_pkey, partitioned_agg
+    from ctinexus_ray.ops.groupagg import partitioned_agg
 
     i64 = pa.int64()
     cc = connected_components(
@@ -427,13 +423,8 @@ def _distributed_mapping(
             }
         )
 
-    reps = (
-        labeled.map_batches(
-            lambda b: add_hash_pkey(b, ["label"], num_partitions),
-            batch_format="pyarrow",
-        )
-        .groupby("pkey")
-        .map_groups(rep_partition, batch_format="pandas")
+    reps = hash_reduce(
+        labeled, ["label"], rep_partition, num_partitions=num_partitions
     )
     mapped = hash_join(
         cc,

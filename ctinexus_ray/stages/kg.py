@@ -1,20 +1,13 @@
-"""KG actor-pool stages (M1-M3, IE/ET/EA/LP) over Arrow batches.
+"""The fused KG actor-pool stage (M1-M3, IE/ET/EA/LP) over Arrow batches.
 
-Two equivalent compositions are provided:
+``KGDocStage`` runs IE -> ET -> EA -> LP per document in one actor pool.
+With per-document LLM semantics and no shuffle between the four stages,
+fusing removes three rounds of batch (de)serialization; actor state
+(client, demo list, embedding cache, rendered prompt prefix) is built
+once in ``__init__``.
 
-  * ``KGDocStage`` — the flagship FUSED stage: one actor pool runs
-    IE -> ET -> EA -> LP per document. With per-document LLM semantics and
-    no shuffle between the four stages, fusing removes three rounds of
-    batch (de)serialization; actor state (client, demo list, embedding
-    cache, compiled templates) is built once in ``__init__``.
-  * ``IEStage`` / ``ETStage`` / ``EAStage`` / ``LPStage`` — the unfused
-    per-stage actor classes, carrying intermediate nested state in a JSON
-    string column (``kg_*_json``). Use these when stages need different
-    pool sizes (e.g. a rate-limited real LLM for IE but a cheap local
-    embedding server for EA).
-
-All classes follow the Ray Data actor contract: construct with
-``map_batches(Cls, fn_constructor_kwargs=..., concurrency=(min,max),
+It follows the Ray Data actor contract: construct with
+``map_batches(KGDocStage, fn_constructor_kwargs=..., concurrency=(min,max),
 batch_size=B, batch_format="pyarrow")``.
 """
 
@@ -41,8 +34,9 @@ def _i64(values) -> pa.Array:
     return pa.array(values, type=pa.int64())
 
 
-class _ActorBase:
-    """Shared actor setup: client + config built once per actor process."""
+class KGDocStage:
+    """Fused IE->ET->EA->LP per document (the flagship stage); client +
+    config built once per actor process."""
 
     def __init__(self, config: PipelineConfig, demos: list[dict] | None = None):
         from ctinexus_ray.llm.prompts import make_ie_prefix
@@ -73,10 +67,6 @@ class _ActorBase:
 
         with ThreadPoolExecutor(max_workers=min(inflight, len(items))) as ex:
             return list(ex.map(fn, items))
-
-
-class KGDocStage(_ActorBase):
-    """Fused IE->ET->EA->LP per document (the flagship stage)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column("cti_text").to_pylist()
@@ -143,120 +133,5 @@ class KGDocStage(_ActorBase):
         out = out.append_column(
             "embed_tokens",
             _i64([e["EA"]["model_usage"]["input"]["tokens"] for e in envelopes]),
-        )
-        return out
-
-
-class IEStage(_ActorBase):
-    """Few-shot triple extraction; adds ``kg_ie_json`` + counters."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        results = self._map_docs(
-            batch.column("cti_text").to_pylist(),
-            lambda text: singledoc.run_ie(
-                text, self.client, self.config, self.demos,
-                ie_prefix=self.ie_prefix,
-            ),
-        )
-        out = batch.append_column(
-            "kg_ie_json", _str_col([json.dumps(r["triplets"]) for r in results])
-        )
-        out = out.append_column(
-            "triples_count", _i32([r["triples_count"] for r in results])
-        )
-        out = out.append_column("ie_dropped", _i32([r["dropped"] for r in results]))
-        out = out.append_column(
-            "ie_input_tokens",
-            _i64([r["model_usage"]["input"]["tokens"] for r in results]),
-        )
-        out = out.append_column(
-            "ie_output_tokens",
-            _i64([r["model_usage"]["output"]["tokens"] for r in results]),
-        )
-        return out
-
-
-class ETStage(_ActorBase):
-    """Entity typing; consumes ``kg_ie_json``, adds ``kg_et_json``."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        results = self._map_docs(
-            batch.column("kg_ie_json").to_pylist(),
-            lambda ie_json: singledoc.run_et(
-                json.loads(ie_json), self.client, self.config
-            ),
-        )
-        out = batch.append_column(
-            "kg_et_json", _str_col([json.dumps(r["typed_triplets"]) for r in results])
-        )
-        out = out.append_column("et_dropped", _i32([r["dropped"] for r in results]))
-        out = out.append_column(
-            "et_input_tokens",
-            _i64([r["model_usage"]["input"]["tokens"] for r in results]),
-        )
-        out = out.append_column(
-            "et_output_tokens",
-            _i64([r["model_usage"]["output"]["tokens"] for r in results]),
-        )
-        return out
-
-
-class EAStage(_ActorBase):
-    """Alignment (preprocess + embed-merge + IOC unmerge); consumes
-    ``kg_et_json``, adds ``kg_aligned_json``."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        results = self._map_docs(
-            batch.column("kg_et_json").to_pylist(),
-            lambda et_json: singledoc.run_ea(
-                json.loads(et_json), self.client, self.config, self.embed_cache
-            ),
-        )
-        out = batch.append_column(
-            "kg_aligned_json",
-            _str_col([json.dumps(r["aligned_triplets"]) for r in results]),
-        )
-        out = out.append_column(
-            "mentions_num", _i32([r["mentions_num"] for r in results])
-        )
-        out = out.append_column("entity_num", _i32([r["entity_num"] for r in results]))
-        out = out.append_column("ea_dropped", _i32([r["dropped"] for r in results]))
-        out = out.append_column(
-            "embed_tokens",
-            _i64([r["model_usage"]["input"]["tokens"] for r in results]),
-        )
-        return out
-
-
-class LPStage(_ActorBase):
-    """Link prediction; consumes ``kg_aligned_json`` + ``cti_text``,
-    adds ``kg_links_json`` + graph counters."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        results = self._map_docs(
-            list(
-                zip(
-                    batch.column("cti_text").to_pylist(),
-                    batch.column("kg_aligned_json").to_pylist(),
-                )
-            ),
-            lambda item: singledoc.run_lp(
-                item[0], json.loads(item[1]), self.client, self.config
-            ),
-        )
-        out = batch.append_column(
-            "kg_links_json",
-            _str_col([json.dumps(r["predicted_links"]) for r in results]),
-        )
-        out = out.append_column(
-            "subgraph_num", _i32([r["subgraph_num"] for r in results])
-        )
-        out = out.append_column(
-            "lp_input_tokens",
-            _i64([r["model_usage"]["input"]["tokens"] for r in results]),
-        )
-        out = out.append_column(
-            "lp_output_tokens",
-            _i64([r["model_usage"]["output"]["tokens"] for r in results]),
         )
         return out

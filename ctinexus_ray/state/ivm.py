@@ -126,7 +126,8 @@ def apply_delta(
 
     from ctinexus_ray.state.tableformat import version_files
 
-    latest = latest_version(view_dir)
+    head = latest_version(view_dir)
+    latest = head
     if latest is not None and not version_files(view_dir, latest):
         # a previous batch committed an EMPTY view (empty first delta):
         # treat this one as the first — reading zero files is an error
@@ -134,14 +135,14 @@ def apply_delta(
 
     if latest is None:
         # first batch: the delta IS the view. expected_parent pins the
-        # overwrite to the state this branch decided on — a concurrent
+        # overwrite to the head this branch decided on — a concurrent
         # first delta landing in between must not be silently replaced
         from ctinexus_ray.state.tableformat import write_dataset_version
 
         version, _ = write_dataset_version(
             view_dir, delta, mode="overwrite",
             extra={"ivm_applied": applied + bids},
-            expected_parent=latest_version(view_dir),
+            expected_parent=head,
         )
         return {"applied": True, "version": version, "batch_id": batch_id}
 

@@ -248,7 +248,7 @@ def _maintain_wordcount_view(
         return {"wordcount_folded": 0}
     applied = set(applied_batches(view_dir))
 
-    def add_key(batch: pa.Table) -> pa.Table:
+    def with_wkey(batch: pa.Table) -> pa.Table:
         words = batch.column("word").to_pylist()
         keys = hash64_strings(words).astype(np.int64)
         return batch.append_column("wkey", pa.array(keys, type=pa.int64()))
@@ -259,7 +259,7 @@ def _maintain_wordcount_view(
             keys=["word"],
             named_aggs={"n": ("n", "sum")},
             num_partitions=num_partitions,
-        ).map_batches(add_key, batch_format="pyarrow")
+        ).map_batches(with_wkey, batch_format="pyarrow")
 
     work, rebuild_reason = _scan_unapplied_versions(
         table_dir, latest, applied
@@ -537,21 +537,16 @@ def run_tick(
     # per-column min would stitch a chimera row out of two conflicting
     # re-crawls of the same id; picking a complete row keeps whatever
     # was actually crawled, deterministically
-    from ctinexus_ray.ops.groupagg import add_hash_pkey
+    from ctinexus_ray.ops.groupagg import hash_reduce
 
     all_cols = list(ds.schema().names)
-
-    def add_pkey(batch):
-        return add_hash_pkey(batch, ["doc_id"], num_partitions)
 
     def first_row(g):
         g = g.sort_values(all_cols, kind="mergesort", na_position="last")
         return g.groupby("doc_id", sort=False).head(1)[all_cols]
 
-    ds = (
-        ds.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(first_row, batch_format="pandas")
+    ds = hash_reduce(
+        ds, ["doc_id"], first_row, num_partitions=num_partitions
     )
 
     def as_arrow(batch):

@@ -53,6 +53,21 @@ def test_partitioned_agg_with_empty_blocks(ray_session):
     assert schema.names == ["doc_id", "v"]
 
 
+def test_hash_reduce_with_empty_blocks(ray_session):
+    """Empty blocks reach neither reducer format as rows or as a pkey."""
+    from ctinexus_ray.ops.groupagg import hash_reduce
+
+    sparse = _sparse_ds()
+    for fmt in ("pandas", "pyarrow"):
+        out = hash_reduce(
+            sparse, ["doc_id"], lambda part: part, num_partitions=16,
+            batch_format=fmt,
+        )
+        ids = sorted(r["doc_id"] for r in out.take_all())
+        assert ids == list(range(300))
+        assert out.schema().names == ["doc_id"]
+
+
 def test_merge_topk_with_empty_blocks(ray_session):
     """IVF/LSH searches emit nothing for batches with no candidates; the
     merge reduce must still rank correctly and keep its schema."""

@@ -141,6 +141,31 @@ class TestApplyDelta:
         )
         assert out["applied"] is False
 
+    def test_concurrent_first_delta_aborts(self, tmp_path, monkeypatch):
+        """A concurrent first delta that lands after apply_delta chose
+        the first-batch branch must abort the overwrite, not be
+        silently replaced by it."""
+        from ctinexus_ray.state import ivm, tableformat
+
+        view = str(tmp_path / "wc")
+        real_latest = tableformat.latest_version
+        landed = []
+
+        def latest_then_race(table_dir):
+            head = real_latest(table_dir)
+            if not landed:
+                landed.append(True)
+                tableformat.write_dataset_version(
+                    table_dir, _delta(BATCHES[1]), mode="overwrite",
+                    extra={"ivm_applied": ["other"]}, expected_parent=head,
+                )
+            return head
+
+        monkeypatch.setattr(ivm, "latest_version", latest_then_race)
+        with pytest.raises(tableformat.ConcurrentWriteError):
+            apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0")
+        assert applied_batches(view) == ["other"]
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestHLLView:

@@ -135,9 +135,9 @@ class TestBoundedInflight:
         import time
 
         from ctinexus_ray.config import PipelineConfig
-        from ctinexus_ray.stages.kg import _ActorBase
+        from ctinexus_ray.stages.kg import KGDocStage
 
-        stage = _ActorBase(PipelineConfig(llm_max_inflight=3))
+        stage = KGDocStage(PipelineConfig(llm_max_inflight=3))
         lock = threading.Lock()
         state = {"now": 0, "peak": 0}
 

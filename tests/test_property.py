@@ -147,6 +147,105 @@ class TestPartitionedAgg:
         want = {(None if pd.isna(k) else k, mn, n) for k, mn, n in want}
         assert got == want
 
+    key_rows = st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(["a", "b", "", "ü"]), st.none()),
+            st.one_of(st.text(max_size=3), st.none()),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+
+    @given(key_rows)
+    @settings(max_examples=20, deadline=None)
+    def test_hash_reduce_colocates_null_string_keys(self, ray_session, rows):
+        """Every (k1, k2) key — NULLs included — reaches exactly one
+        reducer call, with all of its rows."""
+        from collections import Counter
+
+        import pyarrow as pa
+        import ray.data
+
+        from ctinexus_ray.ops.groupagg import hash_reduce
+
+        table = pa.Table.from_pydict(
+            {"k1": pa.array([a for a, _ in rows], type=pa.string()),
+             "k2": pa.array([b for _, b in rows], type=pa.string())}
+        )
+        # several input blocks, so co-location is the shuffle's doing
+        ds = ray.data.from_arrow(
+            [table.slice(i, 7) for i in range(0, table.num_rows, 7)]
+        )
+
+        def per_partition(part: pa.Table) -> pa.Table:
+            counts = Counter(zip(part.column("k1").to_pylist(),
+                                 part.column("k2").to_pylist()))
+            return pa.Table.from_pydict(
+                {"k1": pa.array([k[0] for k in counts], type=pa.string()),
+                 "k2": pa.array([k[1] for k in counts], type=pa.string()),
+                 "n": pa.array(list(counts.values()), type=pa.int64())}
+            )
+
+        out = hash_reduce(ds, ["k1", "k2"], per_partition, num_partitions=4,
+                          batch_format="pyarrow").take_all()
+        got = [(r["k1"], r["k2"]) for r in out]
+        assert len(got) == len(set(got))  # no key split across calls
+        assert {(r["k1"], r["k2"]): r["n"] for r in out} == dict(Counter(rows))
+
+    @given(
+        st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                 max_size=50),
+        st.integers(min_value=0, max_value=13),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_int_pkey_is_low_bits(self, values, log_p):
+        """For one integer key and P <= 8192 the hash partition is the
+        key's low bits: ``(x << 13) ^ x`` keeps x's low 13 bits."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        from ctinexus_ray.ops.groupagg import add_hash_pkey
+
+        p = 1 << log_p
+        col = pa.array(values, type=pa.int64())
+        got = add_hash_pkey(pa.table({"k": col}), ["k"], p).column("pkey")
+        assert got.to_pylist() == pc.bit_wise_and(col, p - 1).to_pylist()
+
+
+class TestHashReduce:
+    def test_non_power_of_two_refuses(self, ray_session):
+        import pytest
+        import ray.data
+
+        from ctinexus_ray.ops.groupagg import hash_reduce
+
+        ds = ray.data.from_items([{"k": 1}])
+        for bad in (0, 3, 6, 100):
+            with pytest.raises(ValueError, match="power of two"):
+                hash_reduce(ds, ["k"], lambda g: g, num_partitions=bad)
+
+    def test_reducer_never_sees_pkey(self, ray_session):
+        import pandas as pd
+        import pyarrow as pa
+        import ray.data
+
+        from ctinexus_ray.ops.groupagg import hash_reduce
+
+        ds = ray.data.from_items(
+            [{"k": i % 5, "v": i} for i in range(40)], override_num_blocks=4
+        )
+        for fmt, kind in (("pandas", pd.DataFrame), ("pyarrow", pa.Table)):
+
+            def cols(part, kind=kind):
+                assert isinstance(part, kind)
+                names = list(part.columns) if kind is pd.DataFrame \
+                    else part.column_names
+                return pa.table({"cols": [",".join(names)]})
+
+            out = hash_reduce(ds, ["k"], cols, num_partitions=2,
+                              batch_format=fmt).take_all()
+            assert out and {r["cols"] for r in out} == {"k,v"}
+
 
 class TestProbeNeverRaises:
     @given(st.binary(max_size=200))

@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from ctinexus_ray.pipelines.kg import build_kg, extract_documents, run_kg_stage
+from ctinexus_ray.pipelines.kg import build_kg, extract_documents
 from ctinexus_ray.pipelines.singledoc import process_document
 from ctinexus_ray.schemas import TRIPLES_SCHEMA
 from ctinexus_ray.sources.synth import make_cc_table
@@ -94,36 +94,6 @@ class TestEndToEnd:
         keys = [n["entity_key"] for n in nodes]
         assert len(keys) == len(set(keys))  # one row per canonical entity
         assert all(n["doc_count"] >= 1 and n["mention_count"] >= 1 for n in nodes)
-
-    def test_unfused_stages_match_fused(self, small_corpus, config, demos):
-        """IEStage -> ETStage -> EAStage -> LPStage must equal KGDocStage."""
-        from ctinexus_ray.stages.kg import EAStage, ETStage, IEStage, LPStage
-
-        extracted = extract_documents(small_corpus, config)
-        kwargs = {"config": config, "demos": demos}
-        staged = extracted
-        for cls in (IEStage, ETStage, EAStage, LPStage):
-            staged = staged.map_batches(
-                cls,
-                fn_constructor_kwargs=kwargs,
-                batch_format="pyarrow",
-                batch_size=config.doc_batch_size,
-                concurrency=(1, 2),
-                # four concurrent actor pools must not starve the upstream
-                # read tasks on the 4-CPU test session
-                num_cpus=0.25,
-            )
-        from ctinexus_ray.stages.triples import explode_triples_batch
-
-        unfused = staged.select_columns(
-            ["url", "kg_aligned_json", "kg_links_json"]
-        ).map_batches(explode_triples_batch, batch_format="pyarrow")
-
-        fused = run_kg_stage(extracted, config, demos)
-        from ctinexus_ray.pipelines.kg import triples_dataset
-
-        fused_triples = triples_dataset(fused, config)
-        assert _triple_set(unfused.take_all()) == _triple_set(fused_triples.take_all())
 
 
 class TestHallucinationSentinel:

@@ -38,11 +38,11 @@ class PipelineConfig:
     focus_max_chars: int = 10000
 
     # --- Ray execution knobs ---------------------------------------------
-    # Batch of documents handled per actor call. Against a rate-limited
-    # real LLM API, use a SMALL batch (16-64) so one slow batch cannot
-    # stall a block; with the CPU-bound mock provider, a large batch
-    # amortizes per-task dispatch overhead (measured: 64 -> 512 nearly
-    # doubled throughput at 32 CPUs).
+    # Batch of documents handled per actor call. A large batch amortizes
+    # per-task dispatch overhead (measured with the mock: 64 -> 512
+    # nearly doubled throughput at 32 CPUs). A read block larger than
+    # the batch reaches one actor as one bundle anyway, so LLM waits are
+    # hidden by in-actor overlap (llm_max_inflight), not a smaller batch.
     doc_batch_size: int = 512
     # Actor-pool bounds for LLM-backed stages. Fixed-size pools (min=max)
     # utilize immediately; autoscaling ramps too slowly for short jobs.
@@ -50,13 +50,13 @@ class PipelineConfig:
     # CPUs reserved per LLM actor. Against a real rate-limited API this
     # should drop to ~0.25 with a much higher concurrency ceiling.
     llm_num_cpus: float = 1.0
-    # Bounded in-flight LLM requests per actor __call__. 1 = serial
-    # (reference parity: llm_processor.py:911-974 loops documents
-    # serially). Against a real rate-limited HTTP provider raise this so
-    # one actor keeps N requests outstanding (threads block on I/O, not
-    # the GIL); with the CPU-bound mock there is nothing to overlap, so
-    # the default stays serial.
-    llm_max_inflight: int = 1
+    # LLM requests one actor keeps in flight (documents overlapped on an
+    # actor-lifetime thread pool). 0 = the client's own bound: HTTP 16
+    # (threads block on sockets), mock 1 (serial, reference parity:
+    # llm_processor.py:911-974 loops documents serially). The total in
+    # flight against a provider is the actor-pool size x this bound;
+    # set it explicitly to fit the provider's rate limit.
+    llm_max_inflight: int = 0
     # Stateless CPU stages (extraction, preprocess, explode).
     cpu_batch_size: int = 256
 

@@ -84,10 +84,43 @@ class LLMClient(Protocol):
         pure function of each text: with the actor-lifetime embed cache,
         a document's metered embed tokens must not depend on which other
         document warmed the cache first (or on thread interleaving when
-        ``llm_max_inflight`` > 1) — a call-total can only be attributed
-        to whichever doc happened to trigger the call.
+        more than one request is in flight) — a call-total can only be
+        attributed to whichever doc happened to trigger the call.
         """
         ...
+
+
+def inflight_bound(config: PipelineConfig, client) -> int:
+    """Requests one actor keeps in flight. An explicit
+    ``config.llm_max_inflight`` >= 1 wins; 0 defers to the client's own
+    ``max_inflight`` (network clients block on sockets and overlap
+    well, the in-process mock computes under the GIL and does not). A
+    client without the attribute stays serial."""
+    if config.llm_max_inflight >= 1:
+        return config.llm_max_inflight
+    return max(1, getattr(client, "max_inflight", 1))
+
+
+class InflightPool:
+    """Order-preserving map with at most ``bound`` calls in flight, for
+    the per-item loops of LLM-calling actors. The thread pool is built
+    once and lives as long as the actor; at bound 1 there is none and
+    ``map`` is a plain serial loop (reference parity)."""
+
+    def __init__(self, config: PipelineConfig, client):
+        self.bound = inflight_bound(config, client)
+        self.executor = None
+        if self.bound > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.executor = ThreadPoolExecutor(
+                max_workers=self.bound, thread_name_prefix="llm-inflight"
+            )
+
+    def map(self, fn, items: list) -> list:
+        if self.executor is None or len(items) <= 1:
+            return [fn(x) for x in items]
+        return list(self.executor.map(fn, items))
 
 
 def call_with_retry(fn, max_attempts: int = 5, base_delay: float = 0.0):

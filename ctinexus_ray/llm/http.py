@@ -24,7 +24,16 @@ loopback ``http.server`` in tests, which is exactly how they would talk to
 an OpenAI-compatible gateway (vLLM, ollama's /v1, LiteLLM proxy) in
 production. Each worker/actor builds its own client in ``__init__``; a
 ``urllib`` opener per call keeps the client thread-safe under the
-``llm_max_inflight`` thread pool.
+actor's in-flight thread pool.
+
+Concurrency: ``HTTPLLMClient.max_inflight`` (16) is the number of
+requests one actor keeps in flight when ``llm_max_inflight`` is 0 (the
+default; the mock's bound is 1). The total in flight against the
+provider is the actor-pool size times that bound, so set
+``llm_max_inflight`` explicitly to fit a provider's rate limit. A read
+block larger than ``doc_batch_size`` reaches one actor as one bundle,
+so it is this in-actor overlap, not a smaller batch, that hides the
+waits.
 """
 
 from __future__ import annotations
@@ -111,6 +120,10 @@ class HTTPLLMClient:
     gateway; pass ``wire="ollama"`` to use the native chat API instead,
     or ``wire="openai"`` to drive anthropic/gemini through a gateway.
     """
+
+    # requests one actor keeps in flight when ``llm_max_inflight`` is 0:
+    # calls block on sockets, not the GIL, so threads overlap the waits
+    max_inflight = 16
 
     def __init__(
         self,

@@ -196,6 +196,10 @@ _LINK_RE = re.compile(
 class MockLLM:
     """Deterministic LLMClient implementation (see llm/client.py)."""
 
+    # in-process CPU work: threads only add GIL contention, so a
+    # default config runs the mock serially
+    max_inflight = 1
+
     def __init__(
         self,
         model: str = "mock-1",

@@ -28,7 +28,7 @@ import ray
 import ray.data
 
 from ctinexus_ray.config import PipelineConfig
-from ctinexus_ray.llm.client import get_client
+from ctinexus_ray.llm.client import InflightPool, get_client
 from ctinexus_ray.ops.groupagg import hash_reduce
 
 
@@ -222,11 +222,14 @@ class MergeVerifyStage:
     each pair is confirmed or rejected by one completion at temperature
     0. State (client) loads once per actor; a per-actor memo keyed on
     the (text_a, text_b, class) triple collapses repeat pairs across
-    batches (head entities recur). Only YES pairs survive into the
-    component resolution."""
+    batches (head entities recur). Pairs of a batch overlap their calls
+    up to the client's in-flight bound; two threads may both miss the
+    memo for one pair, which only repeats a deterministic verdict. Only
+    YES pairs survive into the component resolution."""
 
     def __init__(self, config: PipelineConfig):
         self.client = get_client(config)
+        self.inflight = InflightPool(config, self.client)
         self._memo: dict[tuple, bool] = {}
 
     def _verdict(self, a: str, b: str, klass: str) -> bool:
@@ -242,14 +245,14 @@ class MergeVerifyStage:
     def __call__(self, batch: pa.Table):
         if batch.num_rows == 0:
             return
-        keep = [
-            self._verdict(a, b, k)
-            for a, b, k in zip(
+        keep = self.inflight.map(
+            lambda pair: self._verdict(*pair),
+            list(zip(
                 batch.column("text_a").to_pylist(),
                 batch.column("text_b").to_pylist(),
                 batch.column("klass").to_pylist(),
-            )
-        ]
+            )),
+        )
         kept = batch.filter(pa.array(keep))
         if kept.num_rows:
             yield kept

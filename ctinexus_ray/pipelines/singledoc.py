@@ -271,7 +271,7 @@ def process_document(
     client: LLMClient,
     config: PipelineConfig,
     demos: list[dict],
-    embed_cache: dict[str, list[float]] | None = None,
+    embed_cache: dict[str, tuple[list[float], int]] | None = None,
     ie_prefix: str | None = None,
 ) -> dict:
     """Run one document through all four stages; reference-shaped envelope."""

@@ -4,7 +4,8 @@
 With per-document LLM semantics and no shuffle between the four stages,
 fusing removes three rounds of batch (de)serialization; actor state
 (client, demo list, embedding cache, rendered prompt prefix) is built
-once in ``__init__``.
+once in ``__init__``. Documents of a batch overlap their LLM waits up
+to the client's in-flight bound (``llm.client.InflightPool``).
 
 It follows the Ray Data actor contract: construct with
 ``map_batches(KGDocStage, fn_constructor_kwargs=..., concurrency=(min,max),
@@ -18,7 +19,7 @@ import json
 import pyarrow as pa
 
 from ctinexus_ray.config import PipelineConfig
-from ctinexus_ray.llm.client import get_client
+from ctinexus_ray.llm.client import InflightPool, get_client
 from ctinexus_ray.pipelines import singledoc
 
 
@@ -50,23 +51,18 @@ class KGDocStage:
         # corpus-level embedding cache (normalized mention text -> vector);
         # lives for the actor's lifetime, shared across batches
         self.embed_cache: dict[str, tuple[list[float], int]] = {}
+        self.inflight = InflightPool(config, self.client)
 
     def _map_docs(self, items: list, fn) -> list:
         """Run ``fn`` over the batch's documents with at most
-        ``config.llm_max_inflight`` concurrent LLM requests in flight
-        (order-preserving). Serial when the knob is 1 — exact reference
-        parity. The embed cache is shared across threads; the worst race
+        ``self.inflight.bound`` LLM requests in flight (order-preserving).
+        Serial at bound 1 — exact reference parity, and the mock's
+        default. The embed cache is shared across threads; the worst race
         is recomputing one deterministic (vector, token_count) pair
         twice (dict get/set are GIL-atomic), never a wrong result —
         per-doc embed metering charges each document for its own texts
         (run_ea), so cache state cannot leak into outputs."""
-        inflight = getattr(self.config, "llm_max_inflight", 1)
-        if inflight <= 1 or len(items) <= 1:
-            return [fn(x) for x in items]
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(inflight, len(items))) as ex:
-            return list(ex.map(fn, items))
+        return self.inflight.map(fn, items)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column("cti_text").to_pylist()

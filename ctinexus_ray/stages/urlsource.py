@@ -24,16 +24,38 @@ from ctinexus_ray.functions.text import (
     normalize_text,
     normalize_url,
 )
-from ctinexus_ray.llm.client import call_with_retry, get_client
+from ctinexus_ray.llm.client import InflightPool, call_with_retry, get_client
 from ctinexus_ray.llm.prompts import build_repair_prompt, build_summary_prompt
 
 
+_RECORD_TYPES = {
+    "url": pa.string(), "status": pa.string(), "error_code": pa.string(),
+    "source_domain": pa.string(), "title": pa.string(),
+    "author": pa.string(), "date": pa.string(),
+    "raw_text_length": pa.int64(), "summarized_text": pa.string(),
+    "final_text": pa.string(), "summary_input_tokens": pa.int64(),
+    "summary_output_tokens": pa.int64(),
+}
+
+
+def _error_row(url: str, error_code: str, domain: str = "") -> dict:
+    return {
+        "url": url, "status": "error", "error_code": error_code,
+        "source_domain": domain, "title": None, "author": None, "date": None,
+        "raw_text_length": 0, "summarized_text": "", "final_text": "",
+        "summary_input_tokens": 0, "summary_output_tokens": 0,
+    }
+
+
 class UrlSourceStage:
-    """Actor-pool stage: (url, html, ...) -> url-source record columns."""
+    """Actor-pool stage: (url, html, ...) -> url-source record columns.
+    URLs of a batch overlap their summarize calls up to the client's
+    in-flight bound."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.client = get_client(config)
+        self.inflight = InflightPool(config, self.client)
 
     def _summarize(self, url, domain, title, focused, normalized):
         prompt = build_summary_prompt(url, domain, title, focused or normalized)
@@ -63,80 +85,49 @@ class UrlSourceStage:
                 summary = repaired
         return summary, in_tok, out_tok
 
+    def _record(self, url, html) -> dict:
+        """One url's output row: validate -> extract -> summarize."""
+        if not isinstance(url, str) or not url.strip():
+            return _error_row(url or "", "invalid_url")
+        normalized_url = normalize_url(url)
+        if not is_valid_url(normalized_url):
+            return _error_row(normalized_url, "invalid_url")
+        if not html:
+            return _error_row(normalized_url, "fetch_failed")
+        if isinstance(html, bytes):
+            html = html.decode("utf-8", errors="replace")
+        extract = extract_hybrid_content(html, max_chars=self.config.merge_max_chars)
+        raw_text = extract.get("text") or ""
+        if not raw_text:
+            return _error_row(normalized_url, "extraction_failed",
+                              extract_domain(normalized_url))
+        normalized = normalize_text(raw_text)
+        if not normalized:
+            return _error_row(normalized_url, "empty_content",
+                              extract_domain(normalized_url))
+        focused = build_cti_focus_text(
+            normalized, max_chars=self.config.focus_max_chars
+        )
+        domain = extract_domain(normalized_url)
+        summary, in_tok, out_tok = self._summarize(
+            normalized_url, domain, extract.get("title"), focused, normalized
+        )
+        return {
+            "url": normalized_url, "status": "success", "error_code": "",
+            "source_domain": domain, "title": extract.get("title"),
+            "author": extract.get("author"), "date": extract.get("date"),
+            "raw_text_length": len(raw_text.strip()),
+            "summarized_text": summary, "final_text": summary or normalized,
+            "summary_input_tokens": in_tok, "summary_output_tokens": out_tok,
+        }
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        htmls = batch.column("html").to_pylist()
-
-        out = {
-            "url": [], "status": [], "error_code": [], "source_domain": [],
-            "title": [], "author": [], "date": [], "raw_text_length": [],
-            "summarized_text": [], "final_text": [],
-            "summary_input_tokens": [], "summary_output_tokens": [],
-        }
-
-        def emit(url, status, error_code="", domain="", title=None, author=None,
-                 date=None, raw_len=0, summary="", final="", in_tok=0, out_tok=0):
-            out["url"].append(url)
-            out["status"].append(status)
-            out["error_code"].append(error_code)
-            out["source_domain"].append(domain)
-            out["title"].append(title)
-            out["author"].append(author)
-            out["date"].append(date)
-            out["raw_text_length"].append(raw_len)
-            out["summarized_text"].append(summary)
-            out["final_text"].append(final)
-            out["summary_input_tokens"].append(in_tok)
-            out["summary_output_tokens"].append(out_tok)
-
-        for url, html in zip(urls, htmls):
-            if not isinstance(url, str) or not url.strip():
-                emit(url or "", "error", "invalid_url")
-                continue
-            normalized_url = normalize_url(url)
-            if not is_valid_url(normalized_url):
-                emit(normalized_url, "error", "invalid_url")
-                continue
-            if not html:
-                emit(normalized_url, "error", "fetch_failed")
-                continue
-            if isinstance(html, bytes):
-                html = html.decode("utf-8", errors="replace")
-            extract = extract_hybrid_content(html, max_chars=self.config.merge_max_chars)
-            raw_text = extract.get("text") or ""
-            if not raw_text:
-                emit(normalized_url, "error", "extraction_failed",
-                     extract_domain(normalized_url))
-                continue
-            normalized = normalize_text(raw_text)
-            if not normalized:
-                emit(normalized_url, "error", "empty_content",
-                     extract_domain(normalized_url))
-                continue
-            focused = build_cti_focus_text(
-                normalized, max_chars=self.config.focus_max_chars
-            )
-            domain = extract_domain(normalized_url)
-            summary, in_tok, out_tok = self._summarize(
-                normalized_url, domain, extract.get("title"), focused, normalized
-            )
-            emit(
-                normalized_url, "success", "", domain, extract.get("title"),
-                extract.get("author"), extract.get("date"),
-                len(raw_text.strip()), summary, summary or normalized,
-                in_tok, out_tok,
-            )
-
-        types = {
-            "url": pa.string(), "status": pa.string(), "error_code": pa.string(),
-            "source_domain": pa.string(), "title": pa.string(),
-            "author": pa.string(), "date": pa.string(),
-            "raw_text_length": pa.int64(), "summarized_text": pa.string(),
-            "final_text": pa.string(), "summary_input_tokens": pa.int64(),
-            "summary_output_tokens": pa.int64(),
-        }
+        pairs = list(zip(batch.column("url").to_pylist(),
+                         batch.column("html").to_pylist()))
+        rows = self.inflight.map(lambda pair: self._record(*pair), pairs)
         return pa.Table.from_pydict(
-            {k: pa.array(v, type=types[k]) for k, v in out.items()}
+            {k: pa.array([r[k] for r in rows], type=t)
+             for k, t in _RECORD_TYPES.items()}
         )
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import http.server
 import json
 import threading
+import time
 
+import pyarrow as pa
 import pytest
 
 from ctinexus_ray.llm.client import call_with_retry, get_client
@@ -391,3 +393,157 @@ class TestNativeWireTransports:
         assert isinstance(client, HTTPLLMClient) and client.wire == "gemini"
         text, _, _ = client.complete("abc")
         assert json.loads(text)["echo_len"] == 3
+
+
+class _MockReplyHandler(http.server.BaseHTTPRequestHandler):
+    """OpenAI-compatible endpoint answering with ``MockLLM`` replies (and
+    the mock's own token counts) after a short sleep; records the peak
+    number of requests being served at once."""
+
+    delay_s = 0.02
+    lock = threading.Lock()
+    now = 0
+    peak = 0
+
+    def log_message(self, *a):  # silence
+        pass
+
+    @classmethod
+    def reset(cls):
+        with cls.lock:
+            cls.now = cls.peak = 0
+
+    def do_POST(self):
+        from ctinexus_ray.llm.mock import MockLLM
+
+        cls = type(self)
+        with cls.lock:
+            cls.now += 1
+            cls.peak = max(cls.peak, cls.now)
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+            payload = json.loads(self.rfile.read(length).decode())
+            mock = MockLLM()
+            if self.path.endswith("/chat/completions"):
+                text, in_tok, out_tok = mock.complete(
+                    payload["messages"][-1]["content"]
+                )
+                body = {
+                    "choices": [{"message": {"role": "assistant",
+                                             "content": text}}],
+                    "usage": {"prompt_tokens": in_tok,
+                              "completion_tokens": out_tok},
+                }
+            else:
+                vecs, counts = mock.embed(payload["input"])
+                body = {
+                    "data": [{"index": i, "embedding": v}
+                             for i, v in enumerate(vecs)],
+                    "usage": {"prompt_tokens": sum(counts)},
+                }
+            time.sleep(cls.delay_s)
+            data = json.dumps(body).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        finally:
+            with cls.lock:
+                cls.now -= 1
+
+
+@pytest.fixture(scope="module")
+def mock_reply_server():
+    class Server(http.server.ThreadingHTTPServer):
+        request_queue_size = 64  # 16 concurrent connects must not hit the backlog
+
+    httpd = Server(("127.0.0.1", 0), _MockReplyHandler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{httpd.server_address[1]}"
+    httpd.shutdown()
+
+
+def _kg_batch(n: int) -> pa.Table:
+    texts = [
+        f"APT{i} used Mimikatz to dump credentials from 10.0.{i}.5. The "
+        f"actor then exfiltrated data to evil{i % 3}.example.com via Emotet."
+        for i in range(n)
+    ]
+    return pa.Table.from_pydict({"cti_text": pa.array(texts, type=pa.string())})
+
+
+def _ipc_bytes(table: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as writer:
+        writer.write_table(table)
+    return sink.getvalue().to_pybytes()
+
+
+class TestKGStageInflightOverHTTP:
+    """The default config lets the HTTP client keep up to 16 requests in
+    flight per actor; outputs stay those of the serial in-process mock."""
+
+    def test_default_config_overlaps_requests(self, mock_reply_server):
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.stages.kg import KGDocStage
+
+        batch = _kg_batch(16)
+        stage = KGDocStage(PipelineConfig(
+            provider="openai", extra={"api_base": mock_reply_server}))
+        assert stage.inflight.bound == 16
+        _MockReplyHandler.reset()
+        out = stage(batch)
+        assert 1 < _MockReplyHandler.peak <= 16
+        expected = KGDocStage(PipelineConfig())(batch)
+        assert _ipc_bytes(out) == _ipc_bytes(expected)
+
+    def test_explicit_bound_one_stays_serial(self, mock_reply_server):
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.stages.kg import KGDocStage
+
+        stage = KGDocStage(PipelineConfig(
+            provider="openai", llm_max_inflight=1,
+            extra={"api_base": mock_reply_server}))
+        assert stage.inflight.executor is None
+        _MockReplyHandler.reset()
+        out = stage(_kg_batch(4))
+        assert out.num_rows == 4
+        assert _MockReplyHandler.peak == 1
+
+
+class TestActorLoopsInflightOverHTTP:
+    """UrlSourceStage and MergeVerifyStage share the KG stage's bounded
+    map: over HTTP they overlap requests, and rows stay in input order."""
+
+    def test_url_source_rows_match_mock(self, mock_reply_server):
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.sources.synth import make_cc_table
+        from ctinexus_ray.stages.urlsource import UrlSourceStage
+
+        batch = make_cc_table(12)
+        _MockReplyHandler.reset()
+        out = UrlSourceStage(PipelineConfig(
+            provider="openai", extra={"api_base": mock_reply_server}))(batch)
+        assert _MockReplyHandler.peak > 1
+        assert out.equals(UrlSourceStage(PipelineConfig())(batch))
+
+    def test_merge_verdicts_match_mock(self, mock_reply_server):
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.pipelines.nearcanon import MergeVerifyStage
+
+        names = ["Emotet", "emotet", "Emotet loader", "Lazarus", "APT29",
+                 "apt29", "Mimikatz", "mimikatz tool"]
+        batch = pa.Table.from_pydict({
+            "text_a": [a for a in names for _ in names],
+            "text_b": [b for _ in names for b in names],
+            "klass": ["Malware"] * len(names) ** 2,
+        })
+        _MockReplyHandler.reset()
+        out = list(MergeVerifyStage(PipelineConfig(
+            provider="openai", extra={"api_base": mock_reply_server}))(batch))
+        assert _MockReplyHandler.peak > 1
+        expected = list(MergeVerifyStage(PipelineConfig())(batch))
+        assert [t.to_pydict() for t in out] == [t.to_pydict() for t in expected]
+        assert 0 < sum(t.num_rows for t in out) < batch.num_rows

@@ -216,3 +216,119 @@ class TestEmbedMeteringDeterminism:
         serial = KGDocStage(PipelineConfig(llm_max_inflight=1))(batch)
         threaded = KGDocStage(PipelineConfig(llm_max_inflight=12))(batch)
         assert serial.to_pydict() == threaded.to_pydict()
+
+
+class TestClientInflightBound:
+    """llm_max_inflight=0 (the default) defers to the client's own
+    bound: the in-process mock stays serial and builds no thread pool;
+    an explicit value >= 1 always wins."""
+
+    def test_bound_resolution(self):
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.llm.client import inflight_bound
+        from ctinexus_ray.llm.http import HTTPLLMClient
+
+        http_client = HTTPLLMClient("http://127.0.0.1:9")
+        assert inflight_bound(PipelineConfig(), MockLLM()) == 1
+        assert inflight_bound(PipelineConfig(), http_client) == 16
+        assert inflight_bound(PipelineConfig(), object()) == 1
+        assert inflight_bound(PipelineConfig(llm_max_inflight=3), http_client) == 3
+        assert inflight_bound(PipelineConfig(llm_max_inflight=5), MockLLM()) == 5
+
+    def test_default_mock_stage_is_serial(self):
+        import threading
+        import time
+
+        import pyarrow as pa
+
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.stages.kg import KGDocStage
+
+        stage = KGDocStage(PipelineConfig())
+        assert stage.inflight.bound == 1
+        assert stage.inflight.executor is None
+
+        lock = threading.Lock()
+        state = {"now": 0, "peak": 0}
+        complete = stage.client.complete
+
+        def counted_complete(prompt, **kw):
+            with lock:
+                state["now"] += 1
+                state["peak"] = max(state["peak"], state["now"])
+            time.sleep(0.002)
+            try:
+                return complete(prompt, **kw)
+            finally:
+                with lock:
+                    state["now"] -= 1
+
+        stage.client.complete = counted_complete
+        texts = [
+            f"APT{i} used Mimikatz to dump credentials from 10.0.0.{i}."
+            for i in range(8)
+        ]
+        out = stage(pa.Table.from_pydict({"cti_text": pa.array(texts)}))
+        assert out.num_rows == 8
+        assert state["peak"] == 1
+
+    def test_executor_lives_across_calls(self):
+        import pyarrow as pa
+
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.stages.kg import KGDocStage
+
+        batch = pa.Table.from_pydict({"cti_text": pa.array([
+            "Lazarus Group deployed the AppleJeus malware against exchanges.",
+            "A phishing campaign delivered Emotet via malicious documents.",
+            "APT29 used Mimikatz to dump credentials from 10.0.0.5.",
+        ])})
+        stage = KGDocStage(PipelineConfig(llm_max_inflight=4))
+        executor = stage.inflight.executor
+        assert executor is not None
+        first = stage(batch)
+        assert stage.inflight.executor is executor
+        second = stage(batch)
+        assert stage.inflight.executor is executor
+        assert first.equals(second)
+
+    def test_compose_config_accepts_zero(self):
+        from ctinexus_ray.config import PipelineConfig, compose_config
+
+        assert PipelineConfig().llm_max_inflight == 0
+        assert compose_config(
+            overrides=["llm_max_inflight=0"]
+        ).llm_max_inflight == 0
+        assert compose_config(
+            overrides=["llm_max_inflight=8"]
+        ).llm_max_inflight == 8
+
+    def test_merge_verify_memo_under_thread_stress(self):
+        """Threads share MergeVerifyStage's memo; a race can only repeat
+        a deterministic verdict, so verdicts match the serial run."""
+        import sys
+
+        import pyarrow as pa
+
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.pipelines.nearcanon import MergeVerifyStage
+
+        names = ["Emotet", "emotet", "Emotet loader", "APT29", "apt29"]
+        pairs = [(a, b) for a in names for b in names] * 8
+        batch = pa.Table.from_pydict({
+            "text_a": [a for a, _ in pairs],
+            "text_b": [b for _, b in pairs],
+            "klass": ["Malware"] * len(pairs),
+        })
+        serial = list(MergeVerifyStage(PipelineConfig())(batch))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = list(
+                MergeVerifyStage(PipelineConfig(llm_max_inflight=32))(batch)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert [t.to_pydict() for t in threaded] == [
+            t.to_pydict() for t in serial
+        ]

@@ -568,43 +568,69 @@ def _q_event_sessions(sf_dir: str):
     return sessionize(_events(sf_dir, ["event_id", "ts", "user_id"]), gap_seconds=1800)
 
 
+def _nation_names(sf_dir: str, key: str, region: str | None = None):
+    """(``key``, n_name) per nation, the nation key renamed to the fact
+    side's column for ``broadcast_join``; only the nations of ``region``
+    when one is named (the nation -> region dimension snowflake)."""
+    import ray.data
+
+    from ctinexus_ray.ops.distjoin import broadcast_join
+
+    nation = ray.data.read_parquet(
+        f"{sf_dir}/nation.parquet",
+        columns=["n_nationkey", "n_name", "n_regionkey"],
+    )
+    if region is not None:
+        regions = ray.data.read_parquet(
+            f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
+        ).rename_columns({"r_regionkey": "n_regionkey"})
+        nation = broadcast_join(nation, regions, on=["n_regionkey"]).filter(
+            expr=f"r_name == '{region}'"
+        )
+    return nation.select_columns(["n_nationkey", "n_name"]).rename_columns(
+        {"n_nationkey": key}
+    )
+
+
 def _q_orders_per_customer(sf_dir: str):
     import ray.data
 
-    from ctinexus_ray.ops.relational import broadcast_join_count
+    from ctinexus_ray.ops.distjoin import broadcast_join
+    from ctinexus_ray.ops.groupagg import partitioned_agg
 
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
     customer = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
+    ).rename_columns({"c_custkey": "o_custkey"})
+    counted = partitioned_agg(
+        orders, keys=["o_custkey"], named_aggs={"n": ("o_custkey", "size")}
     )
-    return broadcast_join_count(
-        orders, customer, "o_custkey", "c_custkey", ["c_mktsegment"]
+    return (
+        broadcast_join(counted, customer, on=["o_custkey"], how="left")
+        .rename_columns({"o_custkey": "key"})
+        .select_columns(["key", "c_mktsegment", "n"])
     )
 
 
 def _q_customers_per_region(sf_dir: str):
     """Snowflake join chain (customer -> nation -> region) via chained
-    broadcast enrich — the big side never shuffles; one tiny groupby."""
+    broadcast joins — the big side never shuffles; one tiny groupby."""
     import ray.data
     from ray.data.aggregate import Count
 
-    from ctinexus_ray.ops.relational import broadcast_enrich
+    from ctinexus_ray.ops.distjoin import broadcast_join
 
     customer = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     )
     nation = ray.data.read_parquet(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_regionkey"]
-    )
+    ).rename_columns({"n_nationkey": "c_nationkey"})
     region = ray.data.read_parquet(
         f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-    )
-    step1 = broadcast_enrich(
-        customer, nation, "c_nationkey", "n_nationkey", ["n_regionkey"]
-    )
-    step2 = broadcast_enrich(
-        step1, region, "n_regionkey", "r_regionkey", ["r_name"]
-    )
+    ).rename_columns({"r_regionkey": "n_regionkey"})
+    step1 = broadcast_join(customer, nation, on=["c_nationkey"])
+    step2 = broadcast_join(step1, region, on=["n_regionkey"])
     agg = step2.groupby("r_name").aggregate(Count())
     return _rename(agg, {"count()": "n_customers"})
 
@@ -612,16 +638,23 @@ def _q_customers_per_region(sf_dir: str):
 def _q_top_suppliers_by_lineitems(sf_dir: str):
     """Aggregate + broadcast join + deterministic top-k."""
     import ray.data
-    from ctinexus_ray.ops.relational import broadcast_join_count
+
+    from ctinexus_ray.ops.distjoin import broadcast_join
+    from ctinexus_ray.ops.groupagg import partitioned_agg
 
     lineitem = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_suppkey"]
     )
     supplier = ray.data.read_parquet(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
+    ).rename_columns({"s_suppkey": "l_suppkey"})
+    counted = partitioned_agg(
+        lineitem, keys=["l_suppkey"], named_aggs={"n": ("l_suppkey", "size")}
     )
-    counted = broadcast_join_count(
-        lineitem, supplier, "l_suppkey", "s_suppkey", ["s_name"]
+    counted = (
+        broadcast_join(counted, supplier, on=["l_suppkey"], how="left")
+        .rename_columns({"l_suppkey": "key"})
+        .select_columns(["key", "s_name", "n"])
     )
     return counted.sort(["n", "key"], descending=[True, False]).limit(10)
 
@@ -674,7 +707,7 @@ def _q_dedup_keep_best(sf_dir: str):
     (recursive-CTE components + QUALIFY argmax twin)."""
     import pyarrow.compute as pc
 
-    from ctinexus_ray.ops.distjoin import anti_join_ids, hash_join
+    from ctinexus_ray.ops.distjoin import hash_join
     from ctinexus_ray.ops.groupagg import grouped_arg_extremum
 
     labels = _q_dup_components(sf_dir)  # (node, label)
@@ -715,12 +748,13 @@ def _q_dedup_keep_best(sf_dir: str):
             {"doc_id": batch.column("first_doc_id").cast(pa.int64())}
         )
 
-    singles = anti_join_ids(
+    singles = hash_join(
         _docs(sf_dir, ["doc_id"]),
-        "doc_id",
-        labels,
-        drop_key="node",
+        labels.select_columns(["node"]).rename_columns({"node": "doc_id"}),
+        on=["doc_id"],
+        how="left_anti",
         num_partitions=16,
+        right_types={"doc_id": pa.int64()},
     )
     return best.map_batches(pick, batch_format="pyarrow").union(singles)
 
@@ -2595,9 +2629,8 @@ def _q_tpch_q11(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data
 
-    from ctinexus_ray.ops.distjoin import hash_join
+    from ctinexus_ray.ops.distjoin import broadcast_join, hash_join
     from ctinexus_ray.ops.groupagg import partitioned_agg
-    from ctinexus_ray.ops.relational import broadcast_enrich
 
     i64 = pa.int64()
     li = ray.data.read_parquet(
@@ -2640,9 +2673,8 @@ def _q_tpch_q11(sf_dir: str):
         left_types={"skey": i64, "p_partkey": i64, "c": i64},
         right_types={"skey": i64, "s_nationkey": pa.int32()},
     )
-    nation = ray.data.read_parquet(f"{sf_dir}/nation.parquet")
-    named = broadcast_enrich(
-        j, nation, "s_nationkey", "n_nationkey", ["n_name"]
+    named = broadcast_join(
+        j, _nation_names(sf_dir, "s_nationkey"), on=["s_nationkey"]
     )
 
     def in_nation(batch: pa.Table):
@@ -2805,9 +2837,8 @@ def _q_tpch_q20(sf_dir: str):
     import pyarrow.dataset as pds
     import ray.data
 
-    from ctinexus_ray.ops.distjoin import hash_join
+    from ctinexus_ray.ops.distjoin import broadcast_join, hash_join
     from ctinexus_ray.ops.groupagg import partitioned_agg
-    from ctinexus_ray.ops.relational import broadcast_enrich
 
     i64 = pa.int64()
     part = ray.data.read_parquet(
@@ -2905,9 +2936,8 @@ def _q_tpch_q20(sf_dir: str):
         },
         num_partitions=16,
     )
-    nation = ray.data.read_parquet(f"{sf_dir}/nation.parquet")
-    enriched = broadcast_enrich(
-        named, nation, "s_nationkey", "n_nationkey", ["n_name"]
+    enriched = broadcast_join(
+        named, _nation_names(sf_dir, "s_nationkey"), on=["s_nationkey"]
     )
     wanted = pa.array(
         ["NATION_3", "NATION_7", "NATION_11"], type=pa.string()
@@ -2942,40 +2972,32 @@ def _q_tpch_q2(sf_dir: str):
     import pyarrow.dataset as pds
     import ray.data
 
-    from ctinexus_ray.ops.distjoin import hash_join
+    from ctinexus_ray.ops.distjoin import broadcast_join, hash_join
     from ctinexus_ray.ops.groupagg import partitioned_agg
-    from ctinexus_ray.ops.relational import broadcast_enrich
 
     i64 = pa.int64()
     supp = ray.data.read_parquet(
         f"{sf_dir}/supplier.parquet",
         columns=["s_suppkey", "s_name", "s_acctbal", "s_nationkey"],
     )
-    nation = ray.data.read_parquet(f"{sf_dir}/nation.parquet")
-    region = ray.data.read_parquet(f"{sf_dir}/region.parquet")
-    eur = broadcast_enrich(
-        nation, region, "n_regionkey", "r_regionkey", ["r_name"]
-    ).filter(expr="r_name == 'EUROPE'")
-    senr = broadcast_enrich(
-        supp, eur, "s_nationkey", "n_nationkey", ["n_name"]
+    senr = broadcast_join(
+        supp,
+        _nation_names(sf_dir, "s_nationkey", region="EUROPE"),
+        on=["s_nationkey"],
     )
 
-    def rs_prep(batch: pa.Table):
-        t = batch.filter(pc.is_valid(batch.column("n_name")))
-        if t.num_rows == 0:
-            return
+    def rs_prep(batch: pa.Table) -> pa.Table:
         bal = pc.floor(
             pc.add(
                 pc.multiply(batch.column("s_acctbal"), pa.scalar(100.0)),
                 pa.scalar(0.5),
             )
         ).cast(i64)
-        bal = bal.filter(pc.is_valid(batch.column("n_name")))
-        yield pa.Table.from_pydict(
+        return pa.Table.from_pydict(
             {
-                "skey": t.column("s_suppkey").cast(i64),
-                "s_name": t.column("s_name"),
-                "n_name": t.column("n_name"),
+                "skey": batch.column("s_suppkey").cast(i64),
+                "s_name": batch.column("s_name"),
+                "n_name": batch.column("n_name"),
                 "acctbal_cents": bal,
             }
         )
@@ -6358,8 +6380,7 @@ def _q_tpch_q5(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from ctinexus_ray.ops.distjoin import hash_join
-    from ctinexus_ray.ops.relational import broadcast_enrich
+    from ctinexus_ray.ops.distjoin import broadcast_join, hash_join
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -6439,23 +6460,18 @@ def _q_tpch_q5(sf_dir: str):
         right_types={"skey": i64, "s_nationkey": i64},
     )
     # dimension snowflake: nation filtered to region ASIA, broadcast
-    nation = ray.data.read_parquet(f"{sf_dir}/nation.parquet")
-    region = ray.data.read_parquet(f"{sf_dir}/region.parquet")
-    asia = broadcast_enrich(
-        nation, region, "n_regionkey", "r_regionkey", ["r_name"]
-    ).filter(expr="r_name == 'ASIA'")
-    enriched = broadcast_enrich(
-        j3, asia, "s_nationkey", "n_nationkey", ["n_name"]
+    enriched = broadcast_join(
+        j3,
+        _nation_names(sf_dir, "s_nationkey", region="ASIA"),
+        on=["s_nationkey"],
+        right_types={"s_nationkey": i64, "n_name": pa.string()},
     )
 
     def score(batch: pa.Table):
         import pyarrow.compute as pc
 
         t = batch.filter(
-            pc.and_(
-                pc.is_valid(batch.column("n_name")),
-                pc.equal(batch.column("c_nationkey"), batch.column("s_nationkey")),
-            )
+            pc.equal(batch.column("c_nationkey"), batch.column("s_nationkey"))
         )
         if t.num_rows == 0:
             return
@@ -8102,9 +8118,8 @@ def _q_tpch_q8(sf_dir: str):
     import pyarrow.dataset as pds
     import ray.data
 
-    from ctinexus_ray.ops.distjoin import hash_join
+    from ctinexus_ray.ops.distjoin import broadcast_join, hash_join
     from ctinexus_ray.ops.groupagg import partitioned_agg
-    from ctinexus_ray.ops.relational import broadcast_enrich
 
     i64 = pa.int64()
     part = ray.data.read_parquet(
@@ -8203,28 +8218,13 @@ def _q_tpch_q8(sf_dir: str):
     )
 
     # customer-side region filter via the broadcast dimension snowflake
-    nation = ray.data.read_parquet(f"{sf_dir}/nation.parquet")
-    region = ray.data.read_parquet(f"{sf_dir}/region.parquet")
-    in_region = broadcast_enrich(
-        nation, region, "n_regionkey", "r_regionkey", ["r_name"]
-    ).filter(expr="r_name == 'EUROPE'")
-    j3r = broadcast_enrich(
-        j3, in_region, "c_nationkey", "n_nationkey", ["n_name"]
+    j3r = broadcast_join(
+        j3,
+        _nation_names(sf_dir, "c_nationkey", region="EUROPE"),
+        on=["c_nationkey"],
     )
 
-    def region_only(batch: pa.Table):
-        t = batch.filter(pc.is_valid(batch.column("n_name")))
-        if t.num_rows == 0:
-            return
-        yield pa.Table.from_pydict(
-            {
-                "skey": t.column("skey"),
-                "o_year": t.column("o_year"),
-                "cents": t.column("cents"),
-            }
-        )
-
-    slim = j3r.map_batches(region_only, batch_format="pyarrow")
+    slim = j3r.select_columns(["skey", "o_year", "cents"])
     supp = ray.data.read_parquet(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
     ).rename_columns({"s_suppkey": "skey"})
@@ -8235,22 +8235,16 @@ def _q_tpch_q8(sf_dir: str):
         left_types={"skey": i64, "o_year": i64, "cents": i64},
         right_types={"skey": i64, "s_nationkey": pa.int32()},
     )
-    named = broadcast_enrich(
-        j4, nation, "s_nationkey", "n_nationkey", ["n_name"]
+    named = broadcast_join(
+        j4, _nation_names(sf_dir, "s_nationkey"), on=["s_nationkey"]
     )
 
-    def split(batch: pa.Table):
-        # inner-join semantics vs the supplier->nation dimension: a
-        # referential gap (NULL n_name) must drop the row, as in the
-        # oracle's JOIN nation — broadcast_enrich alone is a left join
-        t = batch.filter(pc.is_valid(batch.column("n_name")))
-        if t.num_rows == 0:
-            return
-        c = t.column("cents")
-        is_target = pc.equal(t.column("n_name"), pa.scalar("NATION_3"))
-        yield pa.Table.from_pydict(
+    def split(batch: pa.Table) -> pa.Table:
+        c = batch.column("cents")
+        is_target = pc.equal(batch.column("n_name"), pa.scalar("NATION_3"))
+        return pa.Table.from_pydict(
             {
-                "o_year": t.column("o_year"),
+                "o_year": batch.column("o_year"),
                 "nat": pc.if_else(is_target, c, pa.scalar(0, type=i64)),
                 "tot": c,
             }
@@ -8278,9 +8272,8 @@ def _q_tpch_q9(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data
 
-    from ctinexus_ray.ops.distjoin import hash_join
+    from ctinexus_ray.ops.distjoin import broadcast_join, hash_join
     from ctinexus_ray.ops.groupagg import partitioned_agg
-    from ctinexus_ray.ops.relational import broadcast_enrich
 
     i64 = pa.int64()
     part = ray.data.read_parquet(
@@ -8409,21 +8402,16 @@ def _q_tpch_q9(sf_dir: str):
         left_types={"skey": i64, "p": i64, "o_year": i64},
         right_types={"skey": i64, "s_nationkey": pa.int32()},
     )
-    nation = ray.data.read_parquet(f"{sf_dir}/nation.parquet")
-    named = broadcast_enrich(
-        j3, nation, "s_nationkey", "n_nationkey", ["n_name"]
+    named = broadcast_join(
+        j3, _nation_names(sf_dir, "s_nationkey"), on=["s_nationkey"]
     )
 
-    def slim(batch: pa.Table):
-        # inner-join semantics vs the nation dimension (see tpch_q8)
-        t = batch.filter(pc.is_valid(batch.column("n_name")))
-        if t.num_rows == 0:
-            return
-        yield pa.Table.from_pydict(
+    def slim(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pydict(
             {
-                "nation": t.column("n_name"),
-                "o_year": t.column("o_year"),
-                "p": t.column("p"),
+                "nation": batch.column("n_name"),
+                "o_year": batch.column("o_year"),
+                "p": batch.column("p"),
             }
         )
 
@@ -9557,21 +9545,20 @@ def _q_bitext_mine(sf_dir: str):
     """Margin-based parallel-text mining (ops/simsearch.py
     margin_bitext — the CCMatrix/LASER shape): en->de candidate pairs
     by ratio margin over the embedding table, lang attached from the
-    documents table via partitioned_attach (hash-partitioned pandas
-    merge — acero rejects list payloads). Float-mean margins ->
-    rows-only; numpy-reference parity + reshard determinism pinned in
-    TestMarginBitext; exact anchor similarity_topk ✓SQL."""
-    import ray.data
-
-    from ctinexus_ray.ops.distjoin import partitioned_attach
+    documents table by a left hash_join on the unique doc_id (the
+    list-typed embedding rides through the join as payload).
+    Float-mean margins -> rows-only; numpy-reference parity + reshard
+    determinism pinned in TestMarginBitext; exact anchor
+    similarity_topk ✓SQL."""
+    from ctinexus_ray.ops.distjoin import hash_join
     from ctinexus_ray.ops.simsearch import margin_bitext
     from ctinexus_ray.sources.documents import read_testdata_embeddings
 
-    langs = _docs(sf_dir, ["doc_id", "lang"]).map_batches(
-        lambda b: b.rename_columns(["vec_id", "lang"]), batch_format="pyarrow"
+    langs = _docs(sf_dir, ["doc_id", "lang"]).rename_columns(
+        {"doc_id": "vec_id"}
     )
-    emb = partitioned_attach(
-        read_testdata_embeddings(sf_dir), langs, "vec_id", ["lang"],
+    emb = hash_join(
+        read_testdata_embeddings(sf_dir), langs, on=["vec_id"], how="left",
         num_partitions=64,
     )
     return margin_bitext(emb, "en", "de", k=4, threshold=1.0)

@@ -71,7 +71,7 @@ def run_single(args) -> int:
 
     client = get_client(config)
     demos = default_demos(config)
-    envelope = process_document(focus_text(text, config), client, config, demos)
+    envelope = process_document(focus_text(text), client, config, demos)
     if url_source_record is not None:
         envelope["URL_SOURCE"] = url_source_record
     payload = json.dumps(envelope, indent=4)

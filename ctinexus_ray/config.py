@@ -28,14 +28,9 @@ class PipelineConfig:
     shot: int = 3                      # few-shot demo count (config.yaml:29)
     permutation: str = "asc"           # demo order (config.yaml:28)
     retriever: str = "knn"             # knn | fixed (config.yaml:27)
-    max_tokens: int = 4096             # completion cap (llm_processor.py:1022)
     temperature: float = 0.8           # IE/ET/LP temp (llm_processor.py:1049..)
     summary_temperature: float = 0.0   # URL summarize temp (llm_processor.py:680)
     max_retries: int = 5               # app-level retry (llm_processor.py:140-160)
-
-    # --- extraction caps (llm_processor.py:419,723) ----------------------
-    merge_max_chars: int = 16000
-    focus_max_chars: int = 10000
 
     # --- Ray execution knobs ---------------------------------------------
     # Batch of documents handled per actor call. A large batch amortizes
@@ -62,9 +57,6 @@ class PipelineConfig:
 
     # canonicalization shuffle
     canon_num_partitions: int = 0      # 0 = let Ray pick
-    # map-side combine threshold: pre-aggregate duplicate mentions inside
-    # each batch before the global groupby (head-key skew mitigation).
-    combine_in_batch: bool = True
 
     extra: dict = field(default_factory=dict)
 
@@ -81,14 +73,7 @@ class PipelineConfig:
 
 def _coerce(value: str, template):
     """Parse a string override to the type of the field's default."""
-    if isinstance(template, bool):
-        low = value.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-    if isinstance(template, int) and not isinstance(template, bool):
+    if isinstance(template, int):
         return int(value)
     if isinstance(template, float):
         return float(value)

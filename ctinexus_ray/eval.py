@@ -49,12 +49,10 @@ def load_annotations(directory: str | Path = ANNOTATION_DIR) -> list[dict]:
     return records
 
 
-def focus_text(raw_text: str, config: PipelineConfig) -> str:
+def focus_text(raw_text: str) -> str:
     """The text that reaches the IE stage for a text-only document
     (extract fallback: normalize (E2) then CTI-focus (E3))."""
-    return build_cti_focus_text(
-        normalize_text(raw_text), max_chars=config.focus_max_chars
-    )
+    return build_cti_focus_text(normalize_text(raw_text))
 
 
 def build_eval_config(texts: list[str], config: PipelineConfig) -> PipelineConfig:
@@ -63,11 +61,11 @@ def build_eval_config(texts: list[str], config: PipelineConfig) -> PipelineConfi
     return config  # canned map travels via make_canned_client/extra below
 
 
-def make_canned_map(records: list[dict], config: PipelineConfig) -> dict[str, list[dict]]:
+def make_canned_map(records: list[dict]) -> dict[str, list[dict]]:
     """processed-text -> explicit_triplets (keys must match what the IE
     stage actually sends — the focused text)."""
     return {
-        focus_text(rec["text"], config): rec["explicit_triplets"]
+        focus_text(rec["text"]): rec["explicit_triplets"]
         for rec in records
     }
 
@@ -124,7 +122,7 @@ def _expected_sets(
     triples, align_pairs, links = set(), set(), set()
     for url, text in zip(urls, texts):
         env = process_document(
-            focus_text(text, config), client, config, demos, cache
+            focus_text(text), client, config, demos, cache
         )
         by_entity: dict[int, list[str]] = {}
         for t in env["EA"]["aligned_triplets"]:
@@ -189,7 +187,7 @@ def evaluate_parity(
                 "annotation corpus not found; pass texts explicitly"
             )
         texts = [r["text"] for r in records]
-        canned = make_canned_map(records, config)
+        canned = make_canned_map(records)
 
     if canned:
         config = PipelineConfig(

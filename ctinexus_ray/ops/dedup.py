@@ -659,9 +659,9 @@ def minhash_dedup_keep(
     approximation is the standard web-dedup trade-off (transitively-
     connected verified pairs may differ at cluster margins)."""
     from ctinexus_ray.ops.distjoin import (
-        anti_join_ids,
         component_drops,
         connected_components,
+        hash_join,
     )
 
     if num_partitions is None:
@@ -672,13 +672,15 @@ def minhash_dedup_keep(
         docs, threshold=threshold, num_partitions=num_partitions, **kwargs
     ).materialize()  # consumed by every component-propagation round
     labels = connected_components(pairs, num_partitions=num_partitions)
-    drops = component_drops(labels)
-    return anti_join_ids(
+    drops = component_drops(labels).rename_columns({"node": "doc_id"})
+    return hash_join(
         docs.select_columns(["doc_id"]),
-        "doc_id",
         drops,
-        drop_key="node",
+        on=["doc_id"],
+        how="left_anti",
         num_partitions=num_partitions,
+        # declared, not probed: the drop set is EMPTY without duplicates
+        right_types={"doc_id": pa.int64()},
     )
 
 
@@ -1575,11 +1577,11 @@ def remove_dup_spans(
       3. duplicated starts collapse to one comma-joined string per doc
          (``grouped_string_agg`` — bounded by the doc's own length);
       4. ONE hash shuffle of each side attaches the starts string onto
-         the documents (``partitioned_attach``); the rewrite itself is
+         the documents (a left ``hash_join``); the rewrite itself is
          a per-batch numpy interval-coverage pass (+1 at ``s``, -1 at
          ``s+n`` difference array, prefix sum > 0 = covered).
     """
-    from ctinexus_ray.ops.distjoin import partitioned_attach
+    from ctinexus_ray.ops.distjoin import hash_join
     from ctinexus_ray.ops.groupagg import (
         derive_num_partitions,
         grouped_string_agg,
@@ -1636,14 +1638,15 @@ def remove_dup_spans(
         out="dup_starts",
         num_partitions=num_partitions,
     )
-    attached = partitioned_attach(
+    # per_doc is keyed by unique doc_id (grouped_string_agg output)
+    attached = hash_join(
         docs.select_columns(["doc_id", "text"]),
         per_doc,
-        key="doc_id",
-        attach=["dup_starts"],
+        on=["doc_id"],
+        how="left",
         num_partitions=num_partitions,
         # declared, not probed: the side is EMPTY when no gram repeats
-        side_types={"doc_id": pa.int64(), "dup_starts": pa.string()},
+        right_types={"doc_id": pa.int64(), "dup_starts": pa.string()},
     )
 
     def rewrite(batch: pa.Table) -> pa.Table:

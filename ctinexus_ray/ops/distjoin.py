@@ -1,18 +1,30 @@
-"""Distributed two-large-sides join + connected components.
+"""Distributed equi-joins + connected components.
 
-``ops.relational`` covers the broadcast (map-side) join, which requires the
-small side to fit in one object. The operators here are the shuffle
-counterparts that stay correct when BOTH sides grow with the corpus and no
-driver-side state is allowed:
+Every equi-join in the engine is built here, on ONE per-partition kernel
+(``_join_tables``: Arrow's hash join, nested payloads carried as row
+indexes) behind two exchange strategies with one signature and one
+semantics:
 
   hash_join             union of side-tagged rows -> ONE hash shuffle on the
-                        key -> per-partition Arrow (Acero) join. Per-group
-                        overhead is O(P) (``groupagg.hash_reduce`` groups by
+                        key -> per-partition join. Per-group overhead is
+                        O(P) (``groupagg.hash_reduce`` groups by
                         ``hash(keys) mod P``, not the join key — see
                         ``ops.groupagg`` for why per-key built-ins don't
-                        scale), and the per-partition join is a vectorized
-                        C++ kernel. Supports inner / left / right / full
-                        outer / left anti / left semi.
+                        scale). Supports inner / left / right / full
+                        outer / left anti / left semi. Both sides may grow
+                        with the corpus; no driver-side state.
+  broadcast_join        map-side: the right side is collected once,
+                        ``ray.put`` once and joined against every left
+                        batch — the left side never shuffles. Same rows
+                        as ``hash_join`` for inner / left / left semi /
+                        left anti; refuses loudly above
+                        ``BROADCAST_MAX_ROWS`` right rows.
+
+The caller picks the exchange: plan-metadata sizes are ``None`` after
+most transforms, so a size-based pick would silently shuffle. The
+remaining strategies (salted, skew-aware, bloom-prefiltered, bucketed)
+are explicit variants of the shuffle.
+
   connected_components  iterated min-label propagation with pointer jumping
                         over an (a, b) edge dataset. Every iteration is a
                         bounded number of shuffles over edge-sized data; the
@@ -80,6 +92,48 @@ def _schema_fields(ds: ray.data.Dataset, types: dict[str, pa.DataType] | None):
     return [(n, _arrow_type(t)) for n, t in zip(schema.names, schema.types)]
 
 
+def _join_tables(
+    lt: pa.Table,
+    rt: pa.Table,
+    on: list[str],
+    join_type: str,
+    out_schema: pa.Schema,
+) -> pa.Table:
+    """The one per-partition equi-join kernel: ``pa.Table.join`` of
+    ``lt`` and ``rt`` on ``on`` (an Arrow ``join_type`` such as
+    ``"left outer"``), cast to ``out_schema`` (which also fixes the
+    column order).
+
+    Arrow's join rejects nested payload columns (list/struct), so each
+    side's nested non-key columns are swapped for an int64 row index
+    before the join and ``take``n back after it; a null index (the
+    unmatched side of an outer join) takes a null value."""
+    import numpy as np
+
+    def stash(t: pa.Table, idx: str):
+        nested = [
+            f.name for f in t.schema
+            if f.name not in on and pa.types.is_nested(f.type)
+        ]
+        if not nested:
+            return t, None
+        row = pa.array(np.arange(t.num_rows, dtype=np.int64))
+        return t.drop_columns(nested).append_column(idx, row), t.select(nested)
+
+    lt, lnested = stash(lt, "__lrow")
+    rt, rnested = stash(rt, "__rrow")
+    out = lt.join(rt, keys=on, join_type=join_type)
+    for idx, nested in (("__lrow", lnested), ("__rrow", rnested)):
+        if nested is None:
+            continue
+        if idx in out.column_names:  # semi/anti joins drop the right side
+            rows = out.column(idx)
+            for name in nested.column_names:
+                out = out.append_column(name, nested.column(name).take(rows))
+            out = out.drop_columns([idx])
+    return out.select(out_schema.names).cast(out_schema)
+
+
 def hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -106,10 +160,12 @@ def hash_join(
     column names must be disjoint across sides (rename first). Output row
     order is unspecified (hash-partitioned).
 
+    Payload columns may be nested (list/struct; see ``_join_tables``).
+
     At 100 TB: both sides stream through the shuffle; no driver state, no
-    broadcast. Use ``ops.relational.broadcast_enrich`` instead when one
-    side is a dimension table — that shape avoids shuffling the big side
-    entirely. ``num_partitions`` bounds per-task memory (size it ~ total
+    broadcast. Use ``broadcast_join`` instead when the right side is a
+    dimension table — same rows, and the left side never shuffles.
+    ``num_partitions`` bounds per-task memory (size it ~ total
     rows / comfortable task rows).
     """
     if how not in _JOIN_TYPES:
@@ -187,9 +243,7 @@ def hash_join(
         side = g.column("_side")
         lt = g.filter(pc.equal(side, 0)).select(on + lcols)
         rt = g.filter(pc.equal(side, 1)).select(on + rcols)
-        out = lt.join(rt, keys=on, join_type=join_type).select(out_cols)
-        # pin the output schema (left-outer null fills must stay typed)
-        return out.cast(out_schema)
+        return _join_tables(lt, rt, on, join_type, out_schema)
 
     return hash_reduce(
         tagged, on, join_partition, num_partitions=num_partitions,
@@ -197,44 +251,93 @@ def hash_join(
     )
 
 
-def anti_join_ids(
-    ds: ray.data.Dataset,
-    key: str,
-    drop: ray.data.Dataset,
-    drop_key: str | None = None,
-    num_partitions: int | None = None,
-    key_type: pa.DataType = pa.int64(),
+# Right-side row cap for ``broadcast_join`` (the graph ops' default
+# broadcast bound). Above it the collect + ray.put would pin a
+# corpus-sized table on the driver and in every worker.
+BROADCAST_MAX_ROWS = 4_000_000
+
+_BROADCAST_HOWS = ("inner", "left", "left_semi", "left_anti")
+
+
+def broadcast_join(
+    left: ray.data.Dataset,
+    right: ray.data.Dataset,
+    on: list[str],
+    how: str = "inner",
+    right_types: dict[str, pa.DataType] | None = None,
 ) -> ray.data.Dataset:
-    """Keep the rows of ``ds`` whose ``key`` does NOT appear in ``drop``
-    (distributed anti-join — the scale replacement for broadcasting a
-    drop-set as a Python set). ``drop`` may be corpus-sized."""
-    drop_key = drop_key or key
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(ds, drop)
-    drops = drop.select_columns([drop_key])
-    if drop_key != key:
+    """Map-side equi-join: ``hash_join``'s signature and rows, without
+    shuffling ``left``.
 
-        def ren(batch: pa.Table) -> pa.Table:
-            return batch.rename_columns([key])
+    ``right`` is collected on the driver once, shipped once via
+    ``ray.put`` and joined against every ``left`` batch through the
+    same kernel as ``hash_join`` (``_join_tables``). ``how``: ``inner``
+    | ``left`` | ``left_semi`` | ``left_anti`` (right/full outer would
+    need the unmatched right rows once, not once per batch). Keys have
+    equal names on both sides and equal types, and non-key columns must
+    be disjoint: the checks ``hash_join`` makes, run on each left batch
+    (probing the left schema up front would execute the left plan).
+    Duplicate right keys multiply rows, exactly as in ``hash_join``.
+    Output columns: keys + left non-key columns + right non-key columns
+    (none for semi/anti); row order is unspecified.
 
-        drops = drops.map_batches(ren, batch_format="pyarrow")
-    ds_types = None
-    try:
-        ds_types = {
-            n: _arrow_type(t)
-            for n, t in zip(ds.schema().names, ds.schema().types)
-        }
-    except Exception:  # noqa: BLE001 — schema probe best-effort
-        pass
-    return hash_join(
-        ds,
-        drops,
-        on=[key],
-        how="left_anti",
-        num_partitions=num_partitions,
-        left_types=ds_types,
-        right_types={key: key_type},
-    )
+    ``right_types`` (column -> pyarrow type) projects and casts the
+    collected right side; declare it when ``right`` can be EMPTY (a
+    schemaless dataset). Raises ``ValueError`` when ``right`` holds
+    more than ``BROADCAST_MAX_ROWS`` rows — use ``hash_join`` there."""
+    from ray.data.block import BlockAccessor
+
+    if how not in _BROADCAST_HOWS:
+        raise ValueError(
+            f"broadcast_join: how must be one of {list(_BROADCAST_HOWS)} "
+            "(use hash_join for right/full outer)"
+        )
+    parts, n = [], 0
+    for ref in right.to_arrow_refs():
+        t = BlockAccessor.for_block(ray.get(ref)).to_arrow()
+        n += t.num_rows
+        if n > BROADCAST_MAX_ROWS:
+            raise ValueError(
+                f"broadcast_join: right side exceeds BROADCAST_MAX_ROWS="
+                f"{BROADCAST_MAX_ROWS} rows; use hash_join (shuffle) instead"
+            )
+        if t.num_rows:
+            parts.append(t)
+    if right_types is None and parts:
+        schema = parts[0].schema
+    else:
+        schema = pa.schema(_schema_fields(right, right_types))
+    side = pa.concat_tables(
+        [schema.empty_table()]
+        + [t.select(schema.names).cast(schema) for t in parts]
+    ).combine_chunks()
+    for k in on:
+        if k not in schema.names:
+            raise ValueError(f"join key {k!r} missing from a side")
+    rcols = [c for c in schema.names if c not in on]
+    join_type = _JOIN_TYPES[how]
+    side_ref = ray.put(side)
+
+    def join_batch(batch: pa.Table) -> pa.Table:
+        rt = ray.get(side_ref)
+        for k in on:
+            if k not in batch.column_names:
+                raise ValueError(f"join key {k!r} missing from a side")
+            if batch.schema.field(k).type != rt.schema.field(k).type:
+                raise ValueError(
+                    f"join key {k!r} type mismatch: "
+                    f"{batch.schema.field(k).type} vs {rt.schema.field(k).type}"
+                )
+        lcols = [c for c in batch.column_names if c not in on]
+        overlap = set(lcols) & set(rcols)
+        if overlap:
+            raise ValueError(f"non-key columns must be disjoint, got {overlap}")
+        fields = [batch.schema.field(c) for c in on + lcols]
+        if how in ("inner", "left"):
+            fields += [rt.schema.field(c) for c in rcols]
+        return _join_tables(batch, rt, on, join_type, pa.schema(fields))
+
+    return left.map_batches(join_batch, batch_format="pyarrow")
 
 
 def _cc_arrays(a, b):
@@ -597,7 +700,7 @@ def salted_join(
 
     Cost: right-side shuffle bytes x ``salt`` — use when the LEFT side is
     large and skewed and the right is modest but too big to broadcast
-    (``ops.relational.broadcast_enrich`` beats this when the right side
+    (``broadcast_join`` beats this when the right side
     fits in one object). ``how`` is limited to inner/left: right rows are
     replicated, so right/full-outer and anti/semi-on-right semantics
     would count unmatched right rows once per salt.
@@ -1004,35 +1107,20 @@ def bucketed_join(
         fields += [f for f in schema_b if f.name not in schema_a.names]
     out_schema = pa.schema(fields)
 
+    # a bucket file missing on the right joins as an empty right side
+    keys_only = pa.schema([schema_a.field(k) for k in on])
+    empty_b = (schema_b or keys_only).empty_table()
+    join_type = _JOIN_TYPES[how]
+
     @ray.remote
     def join_bucket(pa_path: str, pb_path: str) -> pa.Table:
         import pyarrow.parquet as pq
 
-        empty = out_schema.empty_table()
         if not os.path.exists(pa_path):
-            return empty
+            return out_schema.empty_table()
         ta = pq.read_table(pa_path)
-        if os.path.exists(pb_path):
-            tb = pq.read_table(pb_path)
-        elif how == "inner":
-            return empty
-        else:
-            tb = None  # left join with empty right: null-fill below
-        if tb is None:
-            joined = ta
-        else:
-            joined = ta.join(
-                tb,
-                keys=list(on),
-                join_type=("inner" if how == "inner" else "left outer"),
-            )
-        arrays = [
-            joined.column(f.name)
-            if f.name in joined.column_names
-            else pa.nulls(joined.num_rows, type=f.type)
-            for f in out_schema
-        ]
-        return pa.Table.from_arrays(arrays, schema=out_schema)
+        tb = pq.read_table(pb_path) if os.path.exists(pb_path) else empty_b
+        return _join_tables(ta, tb, list(on), join_type, out_schema)
 
     n = sa["n_buckets"]
     refs = [
@@ -1043,93 +1131,3 @@ def bucketed_join(
         for i in range(n)
     ]
     return ray.data.from_arrow_refs(refs)
-
-
-def partitioned_attach(
-    big: ray.data.Dataset,
-    side: ray.data.Dataset,
-    key: str,
-    attach: list[str],
-    num_partitions: int | None = None,
-    side_types: dict[str, pa.DataType] | None = None,
-) -> ray.data.Dataset:
-    """Attach ``side``'s ``attach`` columns onto ``big`` by ``key`` when
-    BOTH sides are large AND ``big`` carries nested columns
-    (list/struct) that Arrow's acero join rejects as payload — e.g.
-    attaching ``lang`` to an embedding table. Left-join semantics:
-    unmatched keys null-fill; duplicate side keys keep the first by
-    side order (refusing would make reruns fragile; document your key
-    as unique).
-
-    Shuffle shape: ONE hash shuffle of each side on ``key`` (the big
-    side ships its payload once — same cost as any large-two-sides
-    join), then a per-partition vectorized pandas merge (object-dtype
-    columns ride untouched). Prefer ``broadcast_enrich`` when the side
-    is dimension-sized and ``hash_join`` when no nested payload is
-    involved.
-
-    ``side_types`` (column -> pyarrow type, covering ``key`` and every
-    ``attach`` column) skips the side's ``ds.schema()`` probe — required
-    when the side can legitimately be EMPTY (a schemaless dataset, e.g.
-    "no duplicate spans anywhere"): unmatched big rows then null-fill
-    under the declared types instead of failing the probe."""
-    if num_partitions is None:
-        num_partitions = derive_num_partitions(big, side)
-
-    big_cols = big.schema().names
-    if key not in big_cols:
-        raise ValueError(f"partitioned_attach: {key!r} not in big side")
-    overlap = set(attach) & set(big_cols)
-    if overlap:
-        raise ValueError(f"partitioned_attach: columns already exist: {overlap}")
-
-    def tag_big(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_side", pa.array([0] * batch.num_rows, type=pa.int8())
-        )
-
-    def tag_side(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_side", pa.array([1] * batch.num_rows, type=pa.int8())
-        )
-
-    big_t = big.map_batches(tag_big, batch_format="pyarrow")
-    side_t = side.select_columns([key, *attach]).map_batches(
-        tag_side, batch_format="pyarrow"
-    )
-
-    def merge_partition(g: pd.DataFrame) -> pd.DataFrame:
-        b = g[g["_side"] == 0]
-        s = g[g["_side"] == 1]
-        s = s[[key, *attach]].drop_duplicates(key, keep="first")
-        return b[big_cols].merge(s, on=key, how="left")
-
-    # union of two differently-shaped sides: project each into the
-    # shared (big ∪ attach) schema with typed nulls
-    btypes = dict(_schema_fields(big, None))
-    stypes = (
-        dict(side_types)
-        if side_types is not None
-        else dict(_schema_fields(side.select_columns([key, *attach]), None))
-    )
-    shared = pa.schema(
-        [pa.field(c, btypes[c]) for c in big_cols]
-        + [pa.field(c, stypes[c]) for c in attach]
-        + [pa.field("_side", pa.int8())]
-    )
-
-    def conform(batch: pa.Table) -> pa.Table:
-        arrays = []
-        for f in shared:
-            if f.name in batch.column_names:
-                arrays.append(batch.column(f.name).cast(f.type))
-            else:
-                arrays.append(pa.nulls(batch.num_rows, type=f.type))
-        return pa.Table.from_arrays(arrays, schema=shared)
-
-    unioned = big_t.map_batches(conform, batch_format="pyarrow").union(
-        side_t.map_batches(conform, batch_format="pyarrow")
-    )
-    return hash_reduce(
-        unioned, [key], merge_partition, num_partitions=num_partitions
-    )

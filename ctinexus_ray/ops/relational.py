@@ -1,11 +1,10 @@
-"""Relational / temporal operators: broadcast join, tumbling-window
-aggregate, gap sessionization.
+"""Relational / temporal operators: windows, sessionization, grouped
+ranks and quantiles, and the non-equi joins (as-of, band, interval).
 
 The reference has no relational joins (SURVEY §2.4) — these are the
-corpus-scale patterns the engine adds:
+corpus-scale patterns the engine adds. Equi-joins, broadcast and
+shuffle, live in ``ops.distjoin``.
 
-  * broadcast join — small side shipped ONCE via ``ray.put``, looked up
-    inside ``map_batches`` (no shuffle of the big side)
   * tumbling window — vectorized epoch-bucket derivation + groupby
   * sessionization — ``groupagg.hash_reduce`` on the user with an
     in-partition time sort (the partitioning assumption: one user's
@@ -101,31 +100,6 @@ def sessionize(events: ray.data.Dataset, gap_seconds: int = 1800) -> ray.data.Da
     )
 
 
-def broadcast_enrich(
-    big: ray.data.Dataset,
-    small: ray.data.Dataset,
-    big_key: str,
-    small_key: str,
-    attach: list[str],
-) -> ray.data.Dataset:
-    """Row-level broadcast (map-side) join: every ``big`` row gains the
-    ``attach`` columns of its matching ``small`` row. The small side is
-    collected once on the driver, shipped once via ``ray.put``, and read
-    per task — the big side never shuffles. Unmatched keys get nulls
-    (left-join semantics — NOTE: this diverges from an inner-join SQL
-    oracle on data with referential gaps; filter the nulls out downstream
-    if inner-join semantics are required). Chain calls to walk a
-    dimension snowflake (e.g. customer -> nation -> region)."""
-    side = _collect_small_table(small, small_key, attach)
-    lookup_ref = ray.put(side)
-
-    def enrich(batch: pa.Table) -> pa.Table:
-        side_t = ray.get(lookup_ref)
-        return _attach_join(batch, side_t, big_key, attach)
-
-    return big.map_batches(enrich, batch_format="pyarrow")
-
-
 def minmax_count_by_key(
     ds: ray.data.Dataset,
     key: str,
@@ -154,98 +128,6 @@ def minmax_count_by_key(
         )
 
     return agg.map_batches(rename, batch_format="pyarrow")
-
-
-def broadcast_join_count(
-    big: ray.data.Dataset,
-    small: ray.data.Dataset,
-    big_key: str,
-    small_key: str,
-    attach: list[str],
-) -> ray.data.Dataset:
-    """Count rows of ``big`` per key, attaching ``attach`` columns from the
-    ``small`` side via a driver-built broadcast dict (``ray.put`` once,
-    ``ray.get`` per task — never reshipped per batch).
-
-    Returns (key, *attach, n). The small side must fit in one object —
-    dimension tables do; for two large sides use a key-partitioned
-    groupby co-shuffle instead.
-    """
-    from ctinexus_ray.ops.groupagg import partitioned_agg
-
-    side = _collect_small_table(small, small_key, attach)
-    lookup_ref = ray.put(side)
-
-    # distinct big-side keys grow with the table -> hash-partitioned
-    # vectorized count (see groupagg module)
-    counted = partitioned_agg(
-        big.select_columns([big_key]),
-        keys=[big_key],
-        named_aggs={"n": (big_key, "size")},
-    )
-
-    def attach_cols(batch: pa.Table) -> pa.Table:
-        side_t = ray.get(lookup_ref)
-        out = _attach_join(batch, side_t, big_key, attach)
-        names = ["key" if c == big_key else c for c in out.column_names]
-        return out.rename_columns(names).select(["key", *attach, "n"])
-
-    return counted.map_batches(attach_cols, batch_format="pyarrow")
-
-
-_SIDE_KEY = "__side_key"
-
-
-def _collect_small_table(
-    small: ray.data.Dataset, small_key: str, attach: list[str]
-) -> pa.Table:
-    """Collect the dimension table on the driver as ONE Arrow table
-    (types preserved) with columns [__side_key, *attach], deduplicated on
-    the key (last row wins, matching dict-build semantics). Broadcast it
-    with ``ray.put`` once; tasks join against it vectorized."""
-    tables = ray.get(small.select_columns([small_key, *attach]).to_arrow_refs())
-    table = pa.concat_tables([t for t in tables if t.num_rows] or tables)
-    table = table.combine_chunks()
-    # last-wins key dedup, vectorized: reverse, keep first occurrence
-    n = table.num_rows
-    if n:
-        import numpy as np
-
-        rev = table.take(pa.array(np.arange(n - 1, -1, -1)))
-        keys_np = rev.column(small_key).to_numpy(zero_copy_only=False)
-        _, first_idx = np.unique(keys_np, return_index=True)
-        table = rev.take(pa.array(np.sort(first_idx)))
-    return table.rename_columns([_SIDE_KEY, *attach])
-
-
-def _attach_join(
-    batch: pa.Table, side: pa.Table, big_key: str, attach: list[str]
-) -> pa.Table:
-    """Left-join ``side``'s attach columns onto ``batch`` by key with a
-    vectorized Arrow hash join (C++ kernel, no per-row Python). Row order
-    and schema are preserved: a row-index column restores the input order
-    and unmatched keys get typed nulls from the side table's schema."""
-    n = batch.num_rows
-    if n == 0:
-        return batch
-    import numpy as np
-
-    key_type = batch.schema.field(big_key).type
-    side_cast = side.set_column(
-        0, _SIDE_KEY, side.column(_SIDE_KEY).cast(key_type)
-    )
-    with_idx = batch.append_column(
-        "__row", pa.array(np.arange(n), type=pa.int64())
-    )
-    joined = with_idx.join(
-        side_cast,
-        keys=[big_key],
-        right_keys=[_SIDE_KEY],
-        join_type="left outer",
-    )
-    joined = joined.sort_by("__row")
-    out_cols = [c for c in batch.column_names] + attach
-    return joined.select(out_cols)
 
 
 def grouped_topn(

@@ -877,8 +877,9 @@ def margin_bitext(
     (src_id, dst_id, sim, margin) for pairs with margin >= threshold,
     the mined-bitext candidate table.
 
-    Input: (vec_id, embedding, lang) — attach lang with
-    ``ops.distjoin.partitioned_attach`` when it lives in another table.
+    Input: (vec_id, embedding, lang) — attach lang with a left
+    ``ops.distjoin.hash_join`` when it lives in another table (the
+    list-typed embedding rides through as payload).
 
     Scale shape: the src side is ONE language's query shard, collected
     and broadcast once (refuses loudly above ``max_src`` rows — shard

@@ -399,8 +399,7 @@ def robots_allowed(
     host-cardinality, so it BROADCASTS: parsed+compiled once on the
     driver, ``ray.put`` once, read per task; above ``max_hosts`` this
     refuses loudly (shard the crawl by host range upstream, or port to
-    ``partitioned_attach`` keyed on host — the pages side never
-    shuffles either way).
+    a left ``hash_join`` keyed on host).
 
     Pages with unparseable urls (no host) and hosts with no robots row
     are allowed — the crawl default."""

@@ -96,7 +96,7 @@ class UrlSourceStage:
             return _error_row(normalized_url, "fetch_failed")
         if isinstance(html, bytes):
             html = html.decode("utf-8", errors="replace")
-        extract = extract_hybrid_content(html, max_chars=self.config.merge_max_chars)
+        extract = extract_hybrid_content(html)
         raw_text = extract.get("text") or ""
         if not raw_text:
             return _error_row(normalized_url, "extraction_failed",
@@ -105,9 +105,7 @@ class UrlSourceStage:
         if not normalized:
             return _error_row(normalized_url, "empty_content",
                               extract_domain(normalized_url))
-        focused = build_cti_focus_text(
-            normalized, max_chars=self.config.focus_max_chars
-        )
+        focused = build_cti_focus_text(normalized)
         domain = extract_domain(normalized_url)
         summary, in_tok, out_tok = self._summarize(
             normalized_url, domain, extract.get("title"), focused, normalized

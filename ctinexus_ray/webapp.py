@@ -72,7 +72,7 @@ def build_envelope(
         raise ValueError("provide report text or a URL")
     client = get_client(config)
     demos = default_demos(config)
-    envelope = process_document(focus_text(text, config), client, config, demos)
+    envelope = process_document(focus_text(text), client, config, demos)
     if url_source_record is not None:
         envelope["URL_SOURCE"] = url_source_record
     return envelope

@@ -148,7 +148,7 @@ def exact_substr_phase(src_dir: str, out_dir: str, n: int,
     import ray.data
 
     from ctinexus_ray.ops.dedup import remove_dup_spans
-    from ctinexus_ray.ops.distjoin import partitioned_attach
+    from ctinexus_ray.ops.distjoin import hash_join
 
     marker = Path(out_dir) / "_SPANS_SUCCESS.json"
     if marker.exists():
@@ -172,14 +172,16 @@ def exact_substr_phase(src_dir: str, out_dir: str, n: int,
         ray.data.aggregate.Count(alias_name="docs"),
     )
     # attach the untouched payload columns back onto the rewritten text
-    out = partitioned_attach(
+    # (one row per input doc_id); the written column order stays
+    # payload-then-text
+    out = hash_join(
         docs.select_columns(payload_cols),
         rewritten.select_columns(["doc_id", "text"]),
-        key="doc_id",
-        attach=["text"],
+        on=["doc_id"],
+        how="left",
         num_partitions=num_partitions,
-        side_types={"doc_id": pa.int64(), "text": pa.string()},
-    )
+        right_types={"doc_id": pa.int64(), "text": pa.string()},
+    ).select_columns([*payload_cols, "text"])
     out.write_parquet(out_dir)
     stats = {
         "docs": int(agg["docs"] or 0),

@@ -191,6 +191,12 @@ def _scan_unapplied_versions(
             continue
         try:
             mode = version_mode(table_dir, v)
+            if mode == "compact":
+                # classified before any diff: a compaction needs no
+                # parent manifest, so a vacuumed parent is no reason
+                # to rebuild
+                work.append((bid, "noop", []))
+                continue
             cur = set(version_files(table_dir, v))
             prev = set(version_files(table_dir, v - 1)) if v > 1 else set()
         except FileNotFoundError:
@@ -198,9 +204,6 @@ def _scan_unapplied_versions(
                 f"manifest for unapplied corpus version {v} (or its "
                 "parent) was vacuumed before the fold caught up"
             )
-        if mode == "compact":
-            work.append((bid, "noop", []))
-            continue
         if mode == "overwrite" and v > 1:
             # v1 overwrite == first commit from nothing: plain append
             return [], (

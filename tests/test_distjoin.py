@@ -6,7 +6,7 @@ import pytest
 import ray.data
 
 from ctinexus_ray.ops.distjoin import (
-    anti_join_ids,
+    broadcast_join,
     component_drops,
     connected_components,
     hash_join,
@@ -82,11 +82,235 @@ class TestHashJoin:
         with pytest.raises(ValueError, match="disjoint"):
             hash_join(left, right, on=["k"])
 
-    def test_anti_join_ids(self, ray_session):
+    def test_left_anti_renamed_drop_key(self, ray_session):
         ds = _ds([{"doc_id": i, "text": "t"} for i in range(8)])
         drop = _ds([{"node": 2}, {"node": 5}])
-        out = anti_join_ids(ds, "doc_id", drop, drop_key="node").take_all()
+        out = hash_join(
+            ds,
+            drop.rename_columns({"node": "doc_id"}),
+            on=["doc_id"],
+            how="left_anti",
+        ).take_all()
         assert sorted(r["doc_id"] for r in out) == [0, 1, 3, 4, 6, 7]
+
+    def test_left_anti_empty_drop_set(self, ray_session):
+        ds = _ds([{"doc_id": i} for i in range(4)])
+        out = hash_join(
+            ds,
+            _empty_like(ds),
+            on=["doc_id"],
+            how="left_anti",
+            right_types={"doc_id": pa.int64()},
+        ).take_all()
+        assert sorted(r["doc_id"] for r in out) == [0, 1, 2, 3]
+
+    def test_left_attach_list_payload(self, ray_session):
+        emb = ray.data.from_arrow(
+            pa.table(
+                {
+                    "vec_id": pa.array([1, 2, 3], type=pa.int64()),
+                    "embedding": pa.array(
+                        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+                        pa.list_(pa.float32()),
+                    ),
+                }
+            )
+        )
+        lang = ray.data.from_arrow(
+            pa.table(
+                {
+                    "vec_id": pa.array([1, 2], type=pa.int64()),
+                    "lang": ["en", "de"],
+                }
+            )
+        )
+        rows = sorted(
+            _arrow_rows(
+                hash_join(emb, lang, on=["vec_id"], how="left", num_partitions=16)
+            ),
+            key=lambda r: r["vec_id"],
+        )
+        # left-join semantics, the list payload survives the shuffle
+        assert rows == [
+            {"vec_id": 1, "embedding": [1.0, 2.0], "lang": "en"},
+            {"vec_id": 2, "embedding": [3.0, 4.0], "lang": "de"},
+            {"vec_id": 3, "embedding": [5.0, 6.0], "lang": None},
+        ]
+
+
+def _empty_like(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """A schemaless empty dataset (a map that yields nothing)."""
+
+    def drop_all(batch: pa.Table):
+        return
+        yield
+
+    return ds.map_batches(drop_all, batch_format="pyarrow")
+
+
+def _arrow_rows(ds) -> list[dict]:
+    """Every row of ``ds`` as plain Python values (nested lists/structs
+    included), via Arrow rather than ``take_all``'s numpy conversion."""
+    from ray.data.block import BlockAccessor
+
+    return [
+        row
+        for block in ray.get(ds.to_arrow_refs())
+        for row in BlockAccessor.for_block(block).to_arrow().to_pylist()
+    ]
+
+
+def _nested_sides():
+    left = pa.table(
+        {
+            "k": pa.array([1, 2, 2, 3], type=pa.int64()),
+            "emb": pa.array(
+                [[0.5], [1.0, 1.5], None, [2.0]], pa.list_(pa.float32())
+            ),
+        }
+    )
+    right = pa.table(
+        {
+            "k": pa.array([2, 3, 3, 4], type=pa.int64()),
+            "meta": pa.array(
+                [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}, None, {"a": 3, "b": "z"}]
+            ),
+        }
+    )
+    return left, right
+
+
+# (left rows, right rows, declared right types); None right rows = an
+# empty, schemaless right side
+_PARITY_CASES = {
+    "plain": (
+        [{"k": i, "x": f"l{i}"} for i in range(8)],
+        [{"k": i, "y": i * 10} for i in range(5, 12)],
+        None,
+    ),
+    "dup_left_keys": (
+        [{"k": i % 3, "x": f"l{i}"} for i in range(9)],
+        [{"k": 1, "y": 10}, {"k": 2, "y": 20}, {"k": 7, "y": 70}],
+        None,
+    ),
+    "dup_right_keys": (
+        [{"k": 1, "x": "a"}, {"k": 2, "x": "b"}, {"k": 3, "x": "c"}],
+        [{"k": 1, "y": 10}, {"k": 1, "y": 11}, {"k": 2, "y": 20},
+         {"k": 2, "y": 21}, {"k": 2, "y": 22}],
+        None,
+    ),
+    "null_keys": (
+        [{"k": None, "x": "n"}, {"k": 1, "x": "a"}, {"k": 2, "x": "b"}],
+        [{"k": None, "y": 0}, {"k": 1, "y": 10}],
+        None,
+    ),
+    "nested_payloads": (_nested_sides()[0], _nested_sides()[1], None),
+    "empty_right": (
+        [{"k": 1, "x": "a"}, {"k": 2, "x": "b"}],
+        None,
+        {"k": pa.int64(), "y": pa.int64()},
+    ),
+}
+
+
+def _side(rows) -> ray.data.Dataset:
+    if isinstance(rows, pa.Table):
+        return ray.data.from_arrow(rows)
+    return ray.data.from_arrow(
+        pa.Table.from_pylist(rows).cast(
+            pa.schema(
+                [pa.field("k", pa.int64())]
+                + [pa.field(c, pa.int64() if c == "y" else pa.string())
+                   for c in rows[0] if c != "k"]
+            )
+        )
+    )
+
+
+def _reference_join(lrows, rrows, rcols, how):
+    """Nested-loop SQL equi-join (NULL keys never match)."""
+    out = []
+    for lrow in lrows:
+        hits = [r for r in rrows if lrow["k"] is not None and r["k"] == lrow["k"]]
+        if how == "left_semi":
+            out += [lrow] if hits else []
+        elif how == "left_anti":
+            out += [] if hits else [lrow]
+        elif hits:
+            out += [{**lrow, **r} for r in hits]
+        elif how == "left":
+            out.append({**lrow, **{c: None for c in rcols}})
+    return out
+
+
+def _sorted_rows(rows):
+    return sorted(repr(sorted(r.items())) for r in rows)
+
+
+class TestJoinStrategyParity:
+    """hash_join (shuffle) and broadcast_join (map-side) are one join:
+    equal rows and columns for every ``how`` they share."""
+
+    @pytest.mark.parametrize("how", ["inner", "left", "left_semi", "left_anti"])
+    @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+    def test_same_rows_as_hash_join(self, ray_session, case, how):
+        lrows, rrows, right_types = _PARITY_CASES[case]
+        left = _side(lrows)
+        if rrows is None:
+            right = _empty_like(left)
+        else:
+            right = _side(rrows)
+        shuffled = hash_join(
+            left, right, on=["k"], how=how, num_partitions=4,
+            right_types=right_types,
+        )
+        mapped = broadcast_join(
+            left, right, on=["k"], how=how, right_types=right_types
+        )
+        got_hash, got_bcast = _arrow_rows(shuffled), _arrow_rows(mapped)
+        assert _sorted_rows(got_hash) == _sorted_rows(got_bcast)
+        assert shuffled.schema().names == mapped.schema().names
+
+        lpy = lrows.to_pylist() if isinstance(lrows, pa.Table) else lrows
+        if rrows is None:
+            rpy, rcols = [], [c for c in right_types if c != "k"]
+        else:
+            rpy = rrows.to_pylist() if isinstance(rrows, pa.Table) else rrows
+            rcols = [c for c in rpy[0] if c != "k"]
+        want = _reference_join(lpy, rpy, rcols, how)
+        assert _sorted_rows(got_bcast) == _sorted_rows(want)
+
+
+class TestBroadcastJoin:
+    def test_cap_refuses_loudly(self, ray_session, monkeypatch):
+        from ctinexus_ray.ops import distjoin
+
+        monkeypatch.setattr(distjoin, "BROADCAST_MAX_ROWS", 2)
+        left = _ds([{"k": 1, "x": "a"}])
+        right = _ds([{"k": i, "y": i} for i in range(3)])
+        with pytest.raises(ValueError, match="hash_join"):
+            broadcast_join(left, right, on=["k"])
+        # at the cap it still joins
+        small = _ds([{"k": i, "y": i} for i in range(2)])
+        assert broadcast_join(left, small, on=["k"]).take_all() == [
+            {"k": 1, "x": "a", "y": 1}
+        ]
+
+    def test_outer_joins_refused(self, ray_session):
+        left = _ds([{"k": 1, "x": "a"}])
+        right = _ds([{"k": 1, "y": 1}])
+        for how in ("right", "full"):
+            with pytest.raises(ValueError, match="hash_join"):
+                broadcast_join(left, right, on=["k"], how=how)
+
+    def test_key_type_mismatch_refused(self, ray_session):
+        left = _ds([{"k": 1, "x": "a"}])
+        right = ray.data.from_arrow(
+            pa.table({"k": pa.array([1], pa.int32()), "y": [1]})
+        )
+        # checked per left batch, so it surfaces as the failed task
+        with pytest.raises(Exception, match="type mismatch: int64 vs int32"):
+            broadcast_join(left, right, on=["k"]).take_all()
 
 
 class TestConnectedComponents:
@@ -563,54 +787,24 @@ class TestBucketedJoin:
         )
         assert got == [("bb", 2, 20), ("cc", 3, 30)]
 
-
-class TestPartitionedAttach:
-    def test_attach_with_list_payload(self, ray_session):
+    def test_list_payload(self, ray_session, tmp_path):
         import pyarrow as pa
-        import ray.data
 
-        from ctinexus_ray.ops.distjoin import partitioned_attach
+        from ctinexus_ray.ops.distjoin import bucketed_join
 
-        emb = ray.data.from_arrow(
-            pa.table(
-                {
-                    "vec_id": pa.array([1, 2, 3], type=pa.int64()),
-                    "embedding": pa.array(
-                        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
-                        pa.list_(pa.float32()),
-                    ),
-                }
-            )
+        left = pa.table(
+            {
+                "k": pa.array([1, 2, 3], type=pa.int64()),
+                "emb": pa.array(
+                    [[1.0, 2.0], [3.0], [4.0, 5.0]], pa.list_(pa.float32())
+                ),
+            }
         )
-        lang = ray.data.from_arrow(
-            pa.table(
-                {
-                    "vec_id": pa.array([1, 2, 2], type=pa.int64()),
-                    "lang": ["en", "de", "zz"],
-                }
-            )
+        right = pa.table({"k": pa.array([1, 3], type=pa.int64()), "b": [10, 30]})
+        da, _ = self._write(ray_session, tmp_path, "a", left)
+        db, _ = self._write(ray_session, tmp_path, "b", right)
+        got = sorted(
+            (r["k"], r["emb"], r["b"])
+            for r in _arrow_rows(bucketed_join(da, db, on=["k"], how="left"))
         )
-        rows = sorted(
-            partitioned_attach(
-                emb, lang, "vec_id", ["lang"], num_partitions=16
-            ).take_all(),
-            key=lambda r: r["vec_id"],
-        )
-        # left-join semantics, duplicate side keys keep the first,
-        # list payload survives the shuffle
-        assert [r["vec_id"] for r in rows] == [1, 2, 3]
-        assert rows[0]["lang"] == "en" and rows[1]["lang"] == "de"
-        assert rows[2]["lang"] is None or rows[2]["lang"] != rows[2]["lang"]
-        assert list(rows[1]["embedding"]) == [3.0, 4.0]
-
-    def test_overlapping_columns_refused(self, ray_session):
-        import pyarrow as pa
-        import pytest
-        import ray.data
-
-        from ctinexus_ray.ops.distjoin import partitioned_attach
-
-        a = ray.data.from_arrow(pa.table({"k": [1], "x": [2]}))
-        b = ray.data.from_arrow(pa.table({"k": [1], "x": [3]}))
-        with pytest.raises(ValueError, match="already exist"):
-            partitioned_attach(a, b, "k", ["x"], num_partitions=16)
+        assert got == [(1, [1.0, 2.0], 10), (2, [3.0], None), (3, [4.0, 5.0], 30)]

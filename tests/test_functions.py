@@ -257,12 +257,11 @@ class TestComposeConfig:
         cfg = compose_config(
             {"provider": "openai", "extra": {"base": "a"}},
             str(layer),
-            overrides=["temperature=0.3", "extra.api_key=k",
-                       "combine_in_batch=off"],
+            overrides=["temperature=0.3", "extra.api_key=k"],
         )
         assert cfg.provider == "openai" and cfg.shot == 5
         assert cfg.llm_concurrency == (4, 16)  # json list -> tuple field
-        assert cfg.temperature == 0.3 and cfg.combine_in_batch is False
+        assert cfg.temperature == 0.3
         # extras merge across layers and overrides
         assert cfg.extra == {"base": "a", "from_file": 1, "api_key": "k"}
         with pytest.raises(KeyError, match="similarity_threshold"):

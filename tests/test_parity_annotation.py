@@ -25,7 +25,7 @@ def test_annotated_corpus_parity(ray_session):
     from ctinexus_ray.eval import make_canned_map
 
     config = PipelineConfig(llm_concurrency=(1, 2))
-    canned = make_canned_map(records[:60], config)
+    canned = make_canned_map(records[:60])
     report = evaluate_parity(texts=texts, config=config, canned=canned)
 
     for stage in ("triple_extraction", "entity_alignment", "link_prediction"):
@@ -39,7 +39,6 @@ def test_annotated_corpus_parity(ray_session):
 def test_ground_truth_flows_through(ray_session):
     """With canned ground truth, the pipeline's non-predicted triples are
     exactly the annotation's explicit triplets (modulo validator drops)."""
-    from ctinexus_ray.config import PipelineConfig
     from ctinexus_ray.eval import focus_text, make_canned_map
     from ctinexus_ray.functions.validators import filter_valid, validate_ie_triplet
     from ctinexus_ray.llm.mock import MockLLM
@@ -47,11 +46,10 @@ def test_ground_truth_flows_through(ray_session):
     from ctinexus_ray.functions.jsonrescue import extract_json_from_response
 
     records = load_annotations()[:10]
-    config = PipelineConfig()
-    canned = make_canned_map(records, config)
+    canned = make_canned_map(records)
     client = MockLLM(canned_triples=canned)
     for rec in records:
-        text = focus_text(rec["text"], config)
+        text = focus_text(rec["text"])
         response, _, _ = client.complete(build_ie_prompt(text, []))
         got = extract_json_from_response(response)["triplets"]
         want, _ = filter_valid(rec["explicit_triplets"], validate_ie_triplet)

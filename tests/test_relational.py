@@ -60,16 +60,21 @@ class TestSessionize:
 
 class TestBroadcastJoin:
     def test_vs_duckdb(self, ray_session, con):
-        from ctinexus_ray.ops.relational import broadcast_join_count
+        """Per-key count + broadcast attach (the join-count shape)."""
+        from ctinexus_ray.ops.distjoin import broadcast_join
+        from ctinexus_ray.ops.groupagg import partitioned_agg
 
         orders = ray.data.read_parquet(f"{SF}/orders.parquet", columns=["o_custkey"])
         customer = ray.data.read_parquet(
             f"{SF}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
+        ).rename_columns({"c_custkey": "o_custkey"})
+        counted = partitioned_agg(
+            orders, keys=["o_custkey"], named_aggs={"n": ("o_custkey", "size")}
         )
         got = {
-            (r["key"], r["c_mktsegment"], r["n"])
-            for r in broadcast_join_count(
-                orders, customer, "o_custkey", "c_custkey", ["c_mktsegment"]
+            (r["o_custkey"], r["c_mktsegment"], r["n"])
+            for r in broadcast_join(
+                counted, customer, on=["o_custkey"], how="left"
             ).take_all()
         }
         want = set(
@@ -84,28 +89,25 @@ class TestBroadcastJoin:
 class TestBroadcastEnrich:
     def test_join_chain_vs_duckdb(self, ray_session, con):
         """customer -> nation -> region snowflake walk via chained
-        broadcast enrich (the big side never shuffles)."""
+        broadcast joins (the big side never shuffles)."""
         from ray.data.aggregate import Count
 
-        from ctinexus_ray.ops.relational import broadcast_enrich
+        from ctinexus_ray.ops.distjoin import broadcast_join
 
         customer = ray.data.read_parquet(
             f"{SF}/customer.parquet", columns=["c_custkey", "c_nationkey"]
         )
         nation = ray.data.read_parquet(
             f"{SF}/nation.parquet", columns=["n_nationkey", "n_regionkey"]
-        )
+        ).rename_columns({"n_nationkey": "c_nationkey"})
         region = ray.data.read_parquet(
             f"{SF}/region.parquet", columns=["r_regionkey", "r_name"]
-        )
-        enriched = broadcast_enrich(
-            broadcast_enrich(
-                customer, nation, "c_nationkey", "n_nationkey", ["n_regionkey"]
-            ),
+        ).rename_columns({"r_regionkey": "n_regionkey"})
+        enriched = broadcast_join(
+            broadcast_join(customer, nation, on=["c_nationkey"], how="left"),
             region,
-            "n_regionkey",
-            "r_regionkey",
-            ["r_name"],
+            on=["n_regionkey"],
+            how="left",
         )
         got = {
             (r["r_name"], r["count()"])
@@ -123,7 +125,7 @@ class TestBroadcastEnrich:
     def test_unmatched_keys_get_nulls(self, ray_session):
         import pyarrow as pa
 
-        from ctinexus_ray.ops.relational import broadcast_enrich
+        from ctinexus_ray.ops.distjoin import broadcast_join
 
         big = ray.data.from_arrow(
             pa.Table.from_pydict({"k": pa.array([1, 2], type=pa.int64())})
@@ -132,8 +134,9 @@ class TestBroadcastEnrich:
             pa.Table.from_pydict(
                 {"k2": pa.array([1], type=pa.int64()), "v": pa.array(["x"])}
             )
-        )
-        rows = {r["k"]: r["v"] for r in broadcast_enrich(big, small, "k", "k2", ["v"]).take_all()}
+        ).rename_columns({"k2": "k"})
+        joined = broadcast_join(big, small, on=["k"], how="left")
+        rows = {r["k"]: r["v"] for r in joined.take_all()}
         assert rows == {1: "x", 2: None}
 
 

@@ -448,6 +448,32 @@ class TestFoldVsTableLifecycle:
         s2 = run_tick(str(inp), table, 4, text_index=index, wordcount_view=view)
         assert s2["text_index_folded"] == 1 and "rebuilt" not in s2
 
+    def test_compact_over_vacuumed_parent_is_noop(self, ray_session, tmp_path):
+        """A compact version whose parent manifest was vacuumed is a
+        no-op fold, not a rebuild reason (for the KG view a rebuild
+        re-runs every LLM call): compactions are classified before the
+        parent manifest is read."""
+        from ctinexus_ray.state.tableformat import (
+            commit_version,
+            compact_table,
+            vacuum,
+        )
+        from jobs.stream_job import _scan_unapplied_versions
+
+        table = str(tmp_path / "tbl")
+        os.makedirs(table)
+        files = [os.path.join(table, f"part-{i}.parquet") for i in (1, 2)]
+        for i, path in enumerate(files):
+            self._shard(path, [i], [f"doc {i}"])
+        assert commit_version(table, files) == 1
+        assert compact_table(table, target_bytes=1 << 30, min_files=2)[
+            "version"
+        ] == 2
+        vacuum(table, keep_versions=1, older_than_sec=0.0)  # v1 manifest gone
+
+        got = _scan_unapplied_versions(table, 2, {"corpus-v1"})
+        assert got == ([("corpus-v2", "noop", [])], None)
+
     def test_logical_overwrite_triggers_rebuild(self, ray_session, tmp_path):
         """A genuine overwrite corpus version (rows replaced) makes the
         incremental ledger unsound — the fold must rebuild, and the

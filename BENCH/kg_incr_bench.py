@@ -4,7 +4,7 @@ The question the incremental KG view answers: when one new shard lands
 on a large committed corpus, what does maintaining the derived layer
 (nodes / triples / edges / metrics) cost?
 
-  * FULL  — what ``run_kg_resumable`` does: re-derive all four outputs
+  * FULL  — re-derive all four outputs (``kg._write_derived_outputs``)
     from the entire docs_kg checkpoint (the canonicalization re-shuffle
     is O(corpus)).
   * INCR  — what ``pipelines/kg_incr.py`` does: fold only the new
@@ -120,7 +120,7 @@ def main() -> int:
     assert incr["nodes_folded"] == 1, incr
 
     # the counterfactual: full re-derive over the 65-shard checkpoint
-    # (exactly run_kg_resumable's derived step, stale dirs cleared)
+    # (the one-shot build's derived step, stale dirs cleared)
     full_out = os.path.join(args.workdir, "kg_full_derived")
     shutil.rmtree(full_out, ignore_errors=True)
     os.makedirs(full_out)

@@ -1,13 +1,11 @@
-"""Generic mergeable (monoid) aggregation — the public extension point
-for the pattern every hand-written combiner in this engine follows
-(sketches, Gram matrices, min/max partials, gradient sums): lift each
-batch to a FIXED-SIZE partial state, merge states associatively, finish
-once.
+"""Generic mergeable (monoid) aggregation — the engine's one
+whole-dataset fold: lift each block to a FIXED-SIZE partial state,
+merge states associatively, finish once.
 
     result = finish( merge(lift(b1), lift(b2), ...) )
 
 Correctness contract the caller owns: ``merge`` must be associative
-and commutative over the states ``lift`` produces (batch boundaries
+and commutative over the states ``lift`` produces (block boundaries
 and merge order are scheduler-controlled, so anything
 order-dependent will be nondeterministic across runs) and ``zero()``
 must be its identity. Hold to it and the aggregate is exact at any
@@ -18,10 +16,13 @@ block's own task (states serialize through the object store as
 cloudpickle — keep them fixed-size: numpy arrays, dicts of counters,
 sketch registers); a tree reduce (fan-in ``merge_arity``) combines
 them so no single process ever folds more than ``merge_arity`` states
-— the driver touches only the final state. Grouped variant: states are
-kept PER KEY inside a bounded dict; use it when group cardinality is
-modest (per-language, per-source); corpus-cardinality keys belong in
-``groupagg.partitioned_agg``'s shuffle instead.
+— the driver touches only the final state.
+
+Callers: the six whole-dataset sketches in ``ops/sketch.py``
+(``hll_distinct``, ``hll_set_cardinalities``, ``misra_gries_topk``,
+``bloom_build``, ``tdigest_quantiles``, ``count_min_estimates``) and
+the ``corpus_stats_monoid`` query. Per-key folds are
+``groupagg.hash_reduce``'s job.
 """
 
 from __future__ import annotations
@@ -83,44 +84,3 @@ def mergeable_aggregate(
         ]
     return finish(ray.get(states[0]))
 
-
-def grouped_mergeable_aggregate(
-    ds: ray.data.Dataset,
-    key_col: str,
-    zero: Callable[[], Any],
-    lift_row_group: Callable[[Any], Any],
-    merge: Callable[[Any, Any], Any],
-    finish: Callable[[Any], Any] = lambda s: s,
-    merge_arity: int = 8,
-) -> dict:
-    """Per-key monoid fold for BOUNDED key cardinality: each block is
-    lifted to {key: state} (``lift_row_group`` gets the key's sub-table)
-    and dicts merge key-wise through the same tree reduce. Returns
-    {key: finish(state)}. NULL keys participate as ``None``."""
-    import pyarrow as pa
-
-    def lift(block: pa.Table) -> dict:
-        out: dict = {}
-        # stable arrow-native grouping: encode keys, slice per key
-        keys = block.column(key_col).to_pylist()
-        index: dict = {}
-        for i, k in enumerate(keys):
-            index.setdefault(k, []).append(i)
-        for k, idx in index.items():
-            out[k] = lift_row_group(block.take(pa.array(idx)))
-        return out
-
-    def dict_merge(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for k, s in b.items():
-            out[k] = merge(out[k], s) if k in out else s
-        return out
-
-    folded = mergeable_aggregate(
-        ds,
-        zero=dict,
-        lift=lift,
-        merge=dict_merge,
-        merge_arity=merge_arity,
-    )
-    return {k: finish(s) for k, s in folded.items()}

@@ -1,14 +1,17 @@
-"""Mergeable streaming sketches: HyperLogLog distinct counting and
-Misra-Gries heavy hitters.
+"""Mergeable sketches: HyperLogLog distinct counting, Misra-Gries heavy
+hitters, Bloom membership, t-digest quantiles and Count-Min point
+frequencies, plus grouped HLL / t-digest / Misra-Gries.
 
-At 10^12 docs an exact COUNT(DISTINCT) over a corpus-cardinality column
-is a full shuffle of every distinct value; a sketch replaces it with a
-fixed-size state that (a) each batch updates locally, (b) merges
-associatively across blocks, and (c) the driver finalizes from ONE small
-object. Both sketches here follow that shape as Ray Data aggregations:
-``map_batches`` emits one serialized partial per batch, and a tiny final
-reduce merges the partials (the merge input is O(num_batches) rows of
-fixed-size state, never corpus-sized).
+At 10^12 docs an exact COUNT(DISTINCT), top-k or quantile over a
+corpus-cardinality column shuffles every distinct value; a sketch
+replaces it with a fixed-size state that merges associatively. Each
+whole-dataset sketch here is a (zero, lift, merge, finish) set over a
+plain numpy / Python state, folded by ``monoid.mergeable_aggregate``:
+every block lifts to a state inside its own task, states merge in a
+bounded fan-in tree of tasks, and the driver finishes ONE state (the
+zero state on empty input). The grouped sketches combine map-side to
+per-key partial rows and merge them through ``groupagg.hash_reduce``,
+which co-locates each key's partials, the NULL key included.
 
 HyperLogLog: standard 2^p-register estimator (Flajolet et al. 2007)
 with the usual small-range linear-counting correction; hashes come from
@@ -24,11 +27,16 @@ scale path for "top words" when the exact hash-partitioned count
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray.data
 
 from ctinexus_ray.ops.dedup import hash64_strings
+from ctinexus_ray.ops.groupagg import hash_reduce, partitioned_agg
+from ctinexus_ray.ops.monoid import mergeable_aggregate
 
 
 def _hll_partial(values, p: int) -> np.ndarray:
@@ -68,52 +76,47 @@ def _hll_estimate(regs: np.ndarray) -> float:
     return float(est)
 
 
+def _hll_registers(ds: ray.data.Dataset, column: str, p: int) -> np.ndarray:
+    """Fold a column into 2^p HLL registers (elementwise-max merge)."""
+    m = 1 << p
+    return mergeable_aggregate(
+        ds.select_columns([column]),
+        zero=lambda: np.zeros(m, dtype=np.uint8),
+        lift=lambda block: _hll_partial(block.column(column), p),
+        merge=np.maximum,
+    )
+
+
 def hll_distinct(
     ds: ray.data.Dataset, column: str, p: int = 14
 ) -> ray.data.Dataset:
     """Approximate COUNT(DISTINCT column) via HyperLogLog (2^p registers,
     standard error ~ 1.04/sqrt(2^p) ≈ 0.8% at p=14). Returns ONE row
-    (approx_distinct: int64). Each batch contributes one fixed-size
-    register partial; the final merge is an elementwise max over
-    O(num_batches) partials — nothing corpus-sized moves or lands on the
-    driver."""
-    m = 1 << p
-
-    def partial(batch: pa.Table):
-        regs = _hll_partial(batch.column(column), p)
-        yield pa.Table.from_pydict({"regs": pa.array([regs.tobytes()], type=pa.binary())})
-
-    partials = ds.select_columns([column]).map_batches(
-        partial, batch_format="pyarrow"
+    (approx_distinct: int64). Each block contributes one fixed-size
+    register state; the merge is an elementwise max — nothing
+    corpus-sized moves or lands on the driver."""
+    est = int(round(_hll_estimate(_hll_registers(ds, column, p))))
+    return ray.data.from_arrow(
+        pa.table({"approx_distinct": pa.array([est], type=pa.int64())})
     )
-    # a zero-register seed guarantees one output row even when the input
-    # is empty (map UDFs never run on empty datasets)
-    seed = ray.data.from_arrow(
-        pa.Table.from_pydict(
-            {"regs": pa.array([np.zeros(m, dtype=np.uint8).tobytes()], type=pa.binary())}
-        )
-    )
-    partials = partials.union(seed)
 
-    def merge(batch: pa.Table):
-        acc = np.zeros(m, dtype=np.uint8)
-        for buf in batch.column("regs").to_pylist():
-            acc = np.maximum(acc, np.frombuffer(buf, dtype=np.uint8))
-        yield pa.Table.from_pydict({"regs": pa.array([acc.tobytes()], type=pa.binary())})
 
-    # two-level merge keeps every task's input small even with millions
-    # of partials (each partial is 2^p bytes)
-    merged = partials.repartition(8).map_batches(
-        merge, batch_format="pyarrow", batch_size=None
-    ).repartition(1).map_batches(merge, batch_format="pyarrow", batch_size=None)
+def _mg_compact(c: Counter, k: int) -> Counter:
+    """Misra-Gries compaction back to at most k counters: decrement
+    every counter by the k-th largest count and drop the ones that
+    reach zero."""
+    if len(c) > k:
+        kth = sorted(c.values(), reverse=True)[k - 1]
+        c = Counter({v: n - kth for v, n in c.items() if n > kth})
+    return c
 
-    def finalize(batch: pa.Table):
-        regs = np.frombuffer(batch.column("regs")[0].as_py(), dtype=np.uint8)
-        yield pa.Table.from_pydict(
-            {"approx_distinct": pa.array([int(round(_hll_estimate(regs)))], type=pa.int64())}
-        )
 
-    return merged.map_batches(finalize, batch_format="pyarrow")
+def _mg_top(c: Counter, top: int) -> list[tuple]:
+    """The ``top`` (value, count) pairs by (count desc, value asc);
+    a NULL value sorts last among equal counts."""
+    return sorted(
+        c.items(), key=lambda t: (-t[1], t[0] is None, t[0] or "")
+    )[:top]
 
 
 def misra_gries_topk(
@@ -123,76 +126,53 @@ def misra_gries_topk(
     top: int = 100,
     weight: str | None = None,
 ) -> ray.data.Dataset:
-    """Approximate heavy hitters: per-batch Misra-Gries summaries of k
+    """Approximate heavy hitters: per-block Misra-Gries summaries of k
     counters, merged pairwise (counter-wise sum, then decrement-compact
     back to k). Any value with true frequency > N/k is guaranteed to
-    survive; counts are underestimates within N/k. Returns the ``top``
-    rows by (approx count desc, value asc).
+    survive; counts are underestimates within N/k (exact when the
+    column has at most k distinct values). Returns the ``top`` rows by
+    (approx count desc, value asc).
 
     ``weight`` names an optional int count column so pre-combined
     (value, n) partials — e.g. ``word_explode_batch`` output — feed the
     sketch with WEIGHTED inserts instead of re-exploding to raw
-    occurrences (same summary the raw stream would produce batch-wise:
+    occurrences (same summary the raw stream would produce block-wise:
     MG compaction is insensitive to how equal values arrive).
 
     This is the sketch-path replacement for an exact all-vocabulary
     shuffle when only the head of the distribution matters."""
 
-    def summarize(batch: pa.Table):
-        from collections import Counter
-
-        if weight is not None:
-            c: Counter = Counter()
+    def lift(block: pa.Table) -> Counter:
+        c: Counter = Counter()
+        if weight is None:
+            c.update(block.column(column).to_pylist())
+        else:
             for v, n in zip(
-                batch.column(column).to_pylist(),
-                batch.column(weight).to_pylist(),
+                block.column(column).to_pylist(),
+                block.column(weight).to_pylist(),
             ):
                 c[v] += n
-        else:
-            c = Counter(batch.column(column).to_pylist())
-        if len(c) > k:
-            kth = sorted(c.values(), reverse=True)[k - 1]
-            # decrement by the k-th largest count (MG batch compaction)
-            c = Counter({v: n - kth for v, n in c.items() if n > kth})
-        if not c:
-            return
-        vals = list(c.keys())
-        yield pa.Table.from_pydict(
-            {
-                "value": pa.array(vals, type=pa.string()),
-                "n": pa.array([c[v] for v in vals], type=pa.int64()),
-            }
-        )
+        return _mg_compact(c, k)
 
-    def merge(batch: pa.Table):
-        from collections import Counter
+    def merge(a: Counter, b: Counter) -> Counter:
+        a.update(b)  # counter-wise sum (keeps zero counts, unlike +)
+        return _mg_compact(a, k)
 
-        c: Counter = Counter()
-        for v, n in zip(
-            batch.column("value").to_pylist(), batch.column("n").to_pylist()
-        ):
-            c[v] += n
-        if len(c) > k:
-            kth = sorted(c.values(), reverse=True)[k - 1]
-            c = Counter({v: n - kth for v, n in c.items() if n > kth})
-        if not c:
-            return
-        vals = list(c.keys())
-        yield pa.Table.from_pydict(
-            {
-                "value": pa.array(vals, type=pa.string()),
-                "n": pa.array([c[v] for v in vals], type=pa.int64()),
-            }
-        )
-
-    cols = [column] + ([weight] if weight is not None else [])
-    partials = ds.select_columns(cols).map_batches(
-        summarize, batch_format="pyarrow"
+    rows = mergeable_aggregate(
+        ds.select_columns([column] + ([weight] if weight is not None else [])),
+        zero=Counter,
+        lift=lift,
+        merge=merge,
+        finish=lambda c: _mg_top(c, top),
     )
-    merged = partials.repartition(8).map_batches(
-        merge, batch_format="pyarrow", batch_size=None
-    ).repartition(1).map_batches(merge, batch_format="pyarrow", batch_size=None)
-    return merged.sort(["n", "value"], descending=[True, False]).limit(top)
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "value": pa.array([v for v, _ in rows], type=pa.string()),
+                "n": pa.array([n for _, n in rows], type=pa.int64()),
+            }
+        )
+    )
 
 
 def _bloom_positions(values, m_bits: int, k: int) -> np.ndarray:
@@ -217,46 +197,25 @@ def bloom_build(
     index is too big to join against cheaply (m_bits=2^23 = 1 MiB
     packed; size m ≈ 1.44 * n * log2(1/fp) for target fp rate).
 
-    Each batch contributes one fixed-size packed-bitmap partial
-    (``np.bitwise_or`` merge, same two-level tree as the HLL registers);
-    nothing corpus-sized moves or lands on the driver — the final
-    bitmap IS sketch-sized by definition. Returns the packed bitmap
-    bytes (m_bits/8)."""
+    Each block contributes one fixed-size packed bitmap and bitmaps
+    merge by ``np.bitwise_or``; nothing corpus-sized moves or lands on
+    the driver — the final bitmap IS sketch-sized by definition.
+    Returns the packed bitmap bytes (m_bits/8)."""
     n_bytes = m_bits // 8
 
-    def partial(batch: pa.Table):
-        pos = _bloom_positions(batch.column(column), m_bits, k).ravel()
+    def lift(block: pa.Table) -> np.ndarray:
+        pos = _bloom_positions(block.column(column), m_bits, k).ravel()
         bits = np.zeros(n_bytes, dtype=np.uint8)
         np.bitwise_or.at(bits, pos >> 3, np.uint8(1) << (pos & 7).astype(np.uint8))
-        yield pa.Table.from_pydict(
-            {"bits": pa.array([bits.tobytes()], type=pa.binary())}
-        )
+        return bits
 
-    partials = ds.select_columns([column]).map_batches(
-        partial, batch_format="pyarrow"
+    return mergeable_aggregate(
+        ds.select_columns([column]),
+        zero=lambda: np.zeros(n_bytes, dtype=np.uint8),
+        lift=lift,
+        merge=np.bitwise_or,
+        finish=lambda bits: bits.tobytes(),
     )
-    seed = ray.data.from_arrow(
-        pa.Table.from_pydict(
-            {"bits": pa.array([bytes(n_bytes)], type=pa.binary())}
-        )
-    )
-
-    def merge(batch: pa.Table):
-        acc = np.zeros(n_bytes, dtype=np.uint8)
-        for buf in batch.column("bits").to_pylist():
-            acc |= np.frombuffer(buf, dtype=np.uint8)
-        yield pa.Table.from_pydict(
-            {"bits": pa.array([acc.tobytes()], type=pa.binary())}
-        )
-
-    merged = (
-        partials.union(seed)
-        .repartition(8)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-    )
-    return merged.take_all()[0]["bits"]
 
 
 def bloom_filter_new(
@@ -326,6 +285,26 @@ def _tdigest_compress(
     return np.array(out_m), np.array(out_w)
 
 
+def _tdigest_digest(
+    means: np.ndarray, weights: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort centroids by mean and compress them; empty stays empty."""
+    if not len(means):
+        return means, weights
+    order = np.argsort(means, kind="mergesort")
+    return _tdigest_compress(means[order], weights[order], delta)
+
+
+def _tdigest_interp(
+    means: np.ndarray, weights: np.ndarray, quantiles: list[float]
+) -> list[float]:
+    """Quantile values by linear interpolation between centroid
+    midpoints."""
+    cum = np.cumsum(weights) - weights / 2.0
+    total = float(weights.sum())
+    return [float(np.interp(q * total, cum, means)) for q in quantiles]
+
+
 def tdigest_quantiles(
     ds: ray.data.Dataset,
     column: str,
@@ -339,83 +318,38 @@ def tdigest_quantiles(
     (the merge bound shrinks like q(1-q)), typically <1% of rank at
     delta=200.
 
-    Same two-level mergeable-sketch tree as HLL/Bloom: every batch sorts
-    its values and compresses to <=delta centroids (one small (mean,
-    weight) table per batch — the ONLY thing that moves), partials merge
-    by sorted-mean compression in a small fan-in, and the driver holds
-    one final digest of <=delta centroids. Nothing corpus-sized
-    anywhere. Output: (q, value) rows with linear interpolation between
-    centroid means."""
+    The state is a (means, weights) centroid pair: every block sorts its
+    non-NaN values and compresses them to <=delta centroids, states
+    merge by sorted-mean compression, and the driver holds one final
+    digest of <=delta centroids. Output: (q, value) rows with linear
+    interpolation between centroid means; no rows on empty input."""
 
-    def partial(batch: pa.Table):
+    def lift(block: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         vals = np.asarray(
-            batch.column(column).cast(pa.float64()).to_numpy(
+            block.column(column).cast(pa.float64()).to_numpy(
                 zero_copy_only=False
             ),
             dtype=np.float64,
         )
         vals = vals[~np.isnan(vals)]
-        if not len(vals):
-            yield pa.Table.from_pydict(
-                {
-                    "mean": pa.array([], type=pa.float64()),
-                    "weight": pa.array([], type=pa.float64()),
-                }
-            )
-            return
-        vals.sort(kind="mergesort")
-        m, w = _tdigest_compress(vals, np.ones_like(vals), delta)
-        yield pa.Table.from_pydict(
-            {
-                "mean": pa.array(m, type=pa.float64()),
-                "weight": pa.array(w, type=pa.float64()),
-            }
-        )
+        return _tdigest_digest(vals, np.ones_like(vals), delta)
 
-    def merge(batch: pa.Table):
-        m = np.asarray(batch.column("mean").to_numpy(zero_copy_only=False))
-        w = np.asarray(batch.column("weight").to_numpy(zero_copy_only=False))
-        if not len(m):
-            yield pa.Table.from_pydict(
-                {
-                    "mean": pa.array([], type=pa.float64()),
-                    "weight": pa.array([], type=pa.float64()),
-                }
-            )
-            return
-        order = np.argsort(m, kind="mergesort")
-        m2, w2 = _tdigest_compress(m[order], w[order], delta)
-        yield pa.Table.from_pydict(
-            {
-                "mean": pa.array(m2, type=pa.float64()),
-                "weight": pa.array(w2, type=pa.float64()),
-            }
-        )
-
-    digest = (
-        ds.select_columns([column])
-        .map_batches(partial, batch_format="pyarrow")
-        .repartition(8)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-    ).take_all()
-    means = np.array([r["mean"] for r in digest])
-    weights = np.array([r["weight"] for r in digest])
-    out_q, out_v = [], []
-    if len(means):
-        cum = np.cumsum(weights) - weights / 2.0  # centroid midpoints
-        total = float(weights.sum())
-        for q in quantiles:
-            target = q * total
-            v = float(np.interp(target, cum, means))
-            out_q.append(float(q))
-            out_v.append(v)
+    means, weights = mergeable_aggregate(
+        ds.select_columns([column]),
+        zero=lambda: (np.zeros(0), np.zeros(0)),
+        lift=lift,
+        merge=lambda a, b: _tdigest_digest(
+            np.concatenate([a[0], b[0]]), np.concatenate([a[1], b[1]]), delta
+        ),
+    )
+    qs = [float(q) for q in quantiles] if len(means) else []
     return ray.data.from_arrow(
-        pa.Table.from_pydict(
+        pa.table(
             {
-                "q": pa.array(out_q, type=pa.float64()),
-                "value": pa.array(out_v, type=pa.float64()),
+                "q": pa.array(qs, type=pa.float64()),
+                "value": pa.array(
+                    _tdigest_interp(means, weights, qs), type=pa.float64()
+                ),
             }
         )
     )
@@ -459,11 +393,10 @@ def count_min_estimates(
     """Count-Min sketch (Cormode & Muthukrishnan 2005) frequency estimates
     for a bounded list of probe values.
 
-    Same mergeable-partial shape as ``hll_distinct``: each batch emits one
-    fixed-size (depth x width) int64 counter partial; the merge is an
-    elementwise SUM over O(num_batches) partials, so nothing corpus-sized
-    moves or lands on the driver. Estimates (min across the depth rows)
-    are never below the true count and exceed it by at most
+    Each block lifts to one fixed-size (depth x width) int64 counter
+    matrix and matrices merge by elementwise sum, so nothing
+    corpus-sized moves or lands on the driver. Estimates (min across the
+    depth rows) are never below the true count and exceed it by at most
     e/width * N with probability 1 - exp(-depth) — the sketch path for
     point-frequency queries when the exact answer would shuffle the whole
     vocabulary.
@@ -478,10 +411,10 @@ def count_min_estimates(
     """
     cols = [column] + ([weight] if weight else [])
 
-    def partial(batch: pa.Table):
-        idx = _cms_indices(batch.column(column), width, depth)
+    def lift(block: pa.Table) -> np.ndarray:
+        idx = _cms_indices(block.column(column), width, depth)
         if weight:
-            wcol = batch.column(weight)
+            wcol = block.column(weight)
             if wcol.null_count:
                 raise ValueError(
                     f"count_min_estimates: weight column {weight!r} "
@@ -496,70 +429,58 @@ def count_min_estimates(
                     "contains negative values"
                 )
         else:
-            w = np.ones(batch.num_rows, dtype=np.int64)
+            w = np.ones(block.num_rows, dtype=np.int64)
         mat = np.zeros((depth, width), dtype=np.int64)
         for d in range(depth):
             np.add.at(mat[d], idx[d], w)
-        yield pa.Table.from_pydict(
-            {"counts": pa.array([mat.tobytes()], type=pa.binary())}
-        )
+        return mat
 
-    partials = ds.select_columns(cols).map_batches(
-        partial, batch_format="pyarrow"
-    )
-    # zero seed partial: guarantees one output row on an empty dataset
-    seed = ray.data.from_arrow(
-        pa.Table.from_pydict(
-            {
-                "counts": pa.array(
-                    [np.zeros((depth, width), dtype=np.int64).tobytes()],
-                    type=pa.binary(),
-                )
-            }
-        )
-    )
-    partials = partials.union(seed)
-
-    def merge(batch: pa.Table):
-        acc = np.zeros(depth * width, dtype=np.int64)
-        for buf in batch.column("counts").to_pylist():
-            acc += np.frombuffer(buf, dtype=np.int64)
-        yield pa.Table.from_pydict(
-            {"counts": pa.array([acc.tobytes()], type=pa.binary())}
-        )
-
-    merged = (
-        partials.repartition(8)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
+    mat = mergeable_aggregate(
+        ds.select_columns(cols),
+        zero=lambda: np.zeros((depth, width), dtype=np.int64),
+        lift=lift,
+        merge=np.add,
     )
     probes = sorted(probe_values)
-
-    def finalize(batch: pa.Table):
-        mat = np.frombuffer(
-            batch.column("counts")[0].as_py(), dtype=np.int64
-        ).reshape(depth, width)
-        if probes:
-            idx = _cms_indices(probes, width, depth)
-            ests = mat[0, idx[0]]
-            for d in range(1, depth):
-                ests = np.minimum(ests, mat[d, idx[d]])
-        else:
-            ests = np.zeros(0, dtype=np.int64)
-        yield pa.Table.from_pydict(
+    if probes:
+        idx = _cms_indices(probes, width, depth)
+        ests = mat[np.arange(depth)[:, None], idx].min(axis=0)
+    else:
+        ests = np.zeros(0, dtype=np.int64)
+    return ray.data.from_arrow(
+        pa.table(
             {
                 "value": pa.array(probes, type=pa.string()),
                 "n_est": pa.array(ests, type=pa.int64()),
             }
         )
-
-    return merged.map_batches(finalize, batch_format="pyarrow")
+    )
 
 
 # ---------------------------------------------------------------------------
-# grouped HyperLogLog
+# grouped sketches
 # ---------------------------------------------------------------------------
+
+
+def _reduce_per_key(
+    partials: ray.data.Dataset, key: str, merge_group
+) -> ray.data.Dataset:
+    """Co-locate each key's partial rows with ``hash_reduce`` and merge
+    them with ``merge_group`` (one pandas frame per key in, a frame of
+    output rows out). ``dropna=False`` keeps the NULL group, as SQL
+    GROUP BY does."""
+
+    def reduce_partition(part: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat(
+            [
+                merge_group(g)
+                for _, g in part.groupby(key, sort=False, dropna=False)
+            ],
+            ignore_index=True,
+        )
+
+    reduce_partition.__name__ = merge_group.__name__  # operator label
+    return hash_reduce(partials, [key], reduce_partition)
 
 
 def grouped_hll_distinct(
@@ -567,7 +488,7 @@ def grouped_hll_distinct(
 ) -> ray.data.Dataset:
     """Per-group approximate COUNT(DISTINCT column) — one HLL register set
     per key, map-side combined: each batch emits ONE (key, registers)
-    partial per key it contains, so the shuffle moves
+    partial per key it contains, so the exchange moves
     O(num_batches x keys_per_batch) fixed-size rows instead of every
     distinct (key, value) pair. The reduce is a register-wise max per key.
 
@@ -581,10 +502,9 @@ def grouped_hll_distinct(
     corpus-cardinality keys, pre-partition by key hash first so each
     batch holds few groups.
     """
+    m = 1 << p
 
     def partial(batch: pa.Table):
-        import pandas as pd
-
         keys = batch.column(key).to_pylist()
         vals = batch.column(column)
         if not (
@@ -601,34 +521,34 @@ def grouped_hll_distinct(
         out_k, out_r = [], []
         for gi, kv in enumerate(uniq):
             rows = np.nonzero(inverse == gi)[0]
-            regs = _hll_partial(vals.take(pa.array(rows)), p)
             out_k.append(None if pd.isna(kv) else kv)
-            out_r.append(regs.tobytes())
+            out_r.append(_hll_partial(vals.take(pa.array(rows)), p))
+        if not out_k:
+            return
         yield pa.Table.from_pydict(
-            {key: pa.array(out_k), "regs": pa.array(out_r, type=pa.binary())}
+            {
+                key: pa.array(out_k),
+                "regs": pa.FixedSizeListArray.from_arrays(
+                    pa.array(np.concatenate(out_r)), m
+                ),
+            }
+        )
+
+    def merge_hll(g: pd.DataFrame) -> pd.DataFrame:
+        regs = np.stack(list(g["regs"])).max(axis=0)
+        return pd.DataFrame(
+            {
+                key: [g[key].iloc[0]],
+                "approx_distinct": pd.array(
+                    [int(round(_hll_estimate(regs)))], dtype="int64"
+                ),
+            }
         )
 
     partials = ds.select_columns([key, column]).map_batches(
         partial, batch_format="pyarrow"
     )
-    m = 1 << p
-
-    def merge_group(g) -> "pa.Table":
-        import pandas as pd
-
-        acc = np.zeros(m, dtype=np.uint8)
-        for buf in g["regs"]:
-            acc = np.maximum(acc, np.frombuffer(buf, dtype=np.uint8))
-        return pd.DataFrame(
-            {
-                key: [g[key].iloc[0]],
-                "approx_distinct": pd.array(
-                    [int(round(_hll_estimate(acc)))], dtype="int64"
-                ),
-            }
-        )
-
-    return partials.groupby(key).map_groups(merge_group, batch_format="pandas")
+    return _reduce_per_key(partials, key, merge_hll)
 
 
 def grouped_tdigest_quantiles(
@@ -645,19 +565,17 @@ def grouped_tdigest_quantiles(
 
     Map side: each batch sorts per group and emits <=delta (key, mean,
     weight) centroid rows per group it contains — fixed-size partials,
-    map-side combined. Reduce: ``groupby(key)`` merges each key's
-    centroids by sorted-mean compression and interpolates the requested
-    quantiles. Group count is assumed >> partials per group, so the
-    shuffle moves O(batches x groups_per_batch x delta) small rows, never
-    the corpus values.
+    map-side combined. Reduce: each key's centroids merge by sorted-mean
+    compression and the requested quantiles are interpolated. Group
+    count is assumed >> partials per group, so the exchange moves
+    O(batches x groups_per_batch x delta) small rows, never the corpus
+    values.
 
     Output: (``key``, q:float64, value:float64) rows. Approximate by
     design -> rows-only; accuracy pinned vs exact grouped quantiles in
     tests."""
 
     def partial(batch: pa.Table):
-        import pandas as pd
-
         df = pd.DataFrame(
             {
                 "k": batch.column(key).to_pylist(),
@@ -674,8 +592,8 @@ def grouped_tdigest_quantiles(
         # dropna=False: SQL GROUP BY keeps the NULL group (same invariant
         # as partitioned_agg / grouped_hll_distinct)
         for kv, sub in df.groupby("k", sort=False, dropna=False):
-            vals = np.sort(sub["v"].to_numpy(), kind="mergesort")
-            m, w = _tdigest_compress(vals, np.ones_like(vals), delta)
+            vals = sub["v"].to_numpy()
+            m, w = _tdigest_digest(vals, np.ones_like(vals), delta)
             out_k.extend([None if pd.isna(kv) else kv] * len(m))
             out_m.extend(m)
             out_w.extend(w)
@@ -689,29 +607,26 @@ def grouped_tdigest_quantiles(
             }
         )
 
-    partials = ds.select_columns([key, column]).map_batches(
-        partial, batch_format="pyarrow"
-    )
-
-    def merge_group(g) -> "pd.DataFrame":
-        import pandas as pd
-
-        m = g["mean"].to_numpy(dtype=np.float64)
-        w = g["weight"].to_numpy(dtype=np.float64)
-        order = np.argsort(m, kind="mergesort")
-        m2, w2 = _tdigest_compress(m[order], w[order], delta)
-        cum = np.cumsum(w2) - w2 / 2.0
-        total = float(w2.sum())
-        vals = [float(np.interp(q * total, cum, m2)) for q in quantiles]
+    def merge_tdigest(g: pd.DataFrame) -> pd.DataFrame:
+        m, w = _tdigest_digest(
+            g["mean"].to_numpy(dtype=np.float64),
+            g["weight"].to_numpy(dtype=np.float64),
+            delta,
+        )
         return pd.DataFrame(
             {
                 key: [g[key].iloc[0]] * len(quantiles),
                 "q": pd.array([float(q) for q in quantiles], dtype="float64"),
-                "value": pd.array(vals, dtype="float64"),
+                "value": pd.array(
+                    _tdigest_interp(m, w, quantiles), dtype="float64"
+                ),
             }
         )
 
-    return partials.groupby(key).map_groups(merge_group, batch_format="pandas")
+    partials = ds.select_columns([key, column]).map_batches(
+        partial, batch_format="pyarrow"
+    )
+    return _reduce_per_key(partials, key, merge_tdigest)
 
 
 def grouped_misra_gries_topk(
@@ -733,17 +648,8 @@ def grouped_misra_gries_topk(
     frequency > N_group/k survives; counts are underestimates within
     N_group/k. Approximate -> rows-only; anchored by the exact grouped
     top-N (`top_words_by_lang`-style window) in tests."""
-    from collections import Counter
-
-    def _compact(c: "Counter", limit: int) -> "Counter":
-        if len(c) > limit:
-            kth = sorted(c.values(), reverse=True)[limit - 1]
-            c = Counter({v: n - kth for v, n in c.items() if n > kth})
-        return c
 
     def summarize(batch: pa.Table):
-        import pandas as pd
-
         per_key: dict = {}
         for kv, val in zip(
             batch.column(key).to_pylist(), batch.column(column).to_pylist()
@@ -756,7 +662,7 @@ def grouped_misra_gries_topk(
             per_key.setdefault(kv, Counter())[val] += 1
         out_k, out_v, out_n = [], [], []
         for kv, c in per_key.items():
-            c = _compact(c, k)
+            c = _mg_compact(c, k)
             for v, n in c.items():
                 out_k.append(kv)
                 out_v.append(v)
@@ -771,18 +677,11 @@ def grouped_misra_gries_topk(
             }
         )
 
-    partials = ds.select_columns([key, column]).map_batches(
-        summarize, batch_format="pyarrow"
-    )
-
-    def merge_group(g) -> "pd.DataFrame":
-        import pandas as pd
-
+    def merge_mg(g: pd.DataFrame) -> pd.DataFrame:
         c: Counter = Counter()
         for v, n in zip(g["value"], g["n"]):
             c[v] += n
-        c = _compact(c, k)
-        rows = sorted(c.items(), key=lambda t: (-t[1], t[0]))[:top]
+        rows = _mg_top(_mg_compact(c, k), top)
         return pd.DataFrame(
             {
                 key: [g[key].iloc[0]] * len(rows),
@@ -791,7 +690,10 @@ def grouped_misra_gries_topk(
             }
         )
 
-    return partials.groupby(key).map_groups(merge_group, batch_format="pandas")
+    partials = ds.select_columns([key, column]).map_batches(
+        summarize, batch_format="pyarrow"
+    )
+    return _reduce_per_key(partials, key, merge_mg)
 
 
 def hll_set_cardinalities(
@@ -810,11 +712,10 @@ def hll_set_cardinalities(
     both vocabularies; the exact op is the anchor this sketch is judged
     against (same pattern as ``hll_distinct`` ↔ the exact distinct).
 
-    Scale shape: each batch of each side emits one side-tagged 2^p-byte
-    register partial; merges are elementwise max per side — fixed-size,
-    mergeable, nothing corpus-sized moves. Intersection error grows as
-    the true intersection shrinks relative to the union (standard
-    inclusion–exclusion caveat) — accuracy pinned in tests.
+    Scale shape: each side folds to its own 2^p-byte register set —
+    fixed-size, mergeable, nothing corpus-sized moves. Intersection
+    error grows as the true intersection shrinks relative to the union
+    (standard inclusion–exclusion caveat) — accuracy pinned in tests.
 
     Returns six (op: string, approx: int64) rows: distinct_left,
     distinct_right, union, intersect, except_left, except_right.
@@ -823,84 +724,21 @@ def hll_set_cardinalities(
     so a corpus containing BOTH NULL and '' sees them conflated into
     one distinct value — filter upstream if that distinction matters
     (the exact anchor counts them separately, as SQL DISTINCT does)."""
-    m = 1 << p
-    zero = np.zeros(m, dtype=np.uint8).tobytes()
-
-    def make_partial(side: int):
-        def partial(batch: pa.Table):
-            regs = _hll_partial(batch.column(column), p)
-            yield pa.Table.from_pydict(
-                {
-                    "side": pa.array([side], type=pa.int64()),
-                    "regs": pa.array([regs.tobytes()], type=pa.binary()),
-                }
-            )
-
-        return partial
-
-    parts = (
-        left.select_columns([column])
-        .map_batches(make_partial(0), batch_format="pyarrow")
-        .union(
-            right.select_columns([column]).map_batches(
-                make_partial(1), batch_format="pyarrow"
-            )
-        )
-    )
-    # zero seeds guarantee both sides exist even on empty inputs
-    seed = ray.data.from_arrow(
-        pa.Table.from_pydict(
-            {
-                "side": pa.array([0, 1], type=pa.int64()),
-                "regs": pa.array([zero, zero], type=pa.binary()),
-            }
-        )
-    )
-    parts = parts.union(seed)
-
-    def merge(batch: pa.Table):
-        acc = {0: np.zeros(m, dtype=np.uint8), 1: np.zeros(m, dtype=np.uint8)}
-        for side, buf in zip(
-            batch.column("side").to_pylist(), batch.column("regs").to_pylist()
-        ):
-            acc[side] = np.maximum(acc[side], np.frombuffer(buf, dtype=np.uint8))
-        yield pa.Table.from_pydict(
-            {
-                "side": pa.array([0, 1], type=pa.int64()),
-                "regs": pa.array(
-                    [acc[0].tobytes(), acc[1].tobytes()], type=pa.binary()
-                ),
-            }
-        )
-
-    merged = (
-        parts.repartition(8)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow", batch_size=None)
-    )
-
-    def finalize(batch: pa.Table):
-        regs = {
-            side: np.frombuffer(buf, dtype=np.uint8)
-            for side, buf in zip(
-                batch.column("side").to_pylist(),
-                batch.column("regs").to_pylist(),
-            )
-        }
-        a = _hll_estimate(regs[0])
-        b = _hll_estimate(regs[1])
-        u = _hll_estimate(np.maximum(regs[0], regs[1]))
-        inter = max(0.0, a + b - u)
-        ops = [
-            ("distinct_left", a),
-            ("distinct_right", b),
-            ("union", u),
-            ("intersect", inter),
-            ("except_left", max(0.0, u - b)),
-            ("except_right", max(0.0, u - a)),
-        ]
-        yield pa.Table.from_pydict(
+    regs_a = _hll_registers(left, column, p)
+    regs_b = _hll_registers(right, column, p)
+    a = _hll_estimate(regs_a)
+    b = _hll_estimate(regs_b)
+    u = _hll_estimate(np.maximum(regs_a, regs_b))
+    ops = [
+        ("distinct_left", a),
+        ("distinct_right", b),
+        ("union", u),
+        ("intersect", max(0.0, a + b - u)),
+        ("except_left", max(0.0, u - b)),
+        ("except_right", max(0.0, u - a)),
+    ]
+    return ray.data.from_arrow(
+        pa.table(
             {
                 "op": pa.array([o for o, _ in ops], type=pa.string()),
                 "approx": pa.array(
@@ -908,8 +746,7 @@ def hll_set_cardinalities(
                 ),
             }
         )
-
-    return merged.map_batches(finalize, batch_format="pyarrow")
+    )
 
 
 def hll_register_rows(
@@ -922,7 +759,6 @@ def hll_register_rows(
     with ``apply_delta(value_cols={"rho": "max"})`` and the view's
     estimate equals the full-corpus sketch exactly (pinned in tests).
     At most 2^p rows regardless of corpus size."""
-    from ctinexus_ray.ops.groupagg import partitioned_agg
 
     def partial(batch: pa.Table):
         regs = _hll_partial(batch.column(column), p)

@@ -55,6 +55,7 @@ from ctinexus_ray.ops.dedup import hash64_strings
 from ctinexus_ray.ops.textstats import _tokens, bm25_rank_postings
 from ctinexus_ray.state.tableformat import (
     commit_version,
+    latest_version,
     read_version,
     version_extra,
 )
@@ -270,6 +271,22 @@ def text_index_applied(table_dir: str) -> list[str]:
     return list(version_extra(table_dir).get("text_index", {}).get("applied", []))
 
 
+def _latest_meta(table_dir: str) -> tuple[int, dict]:
+    """(latest version, its text_index metadata). A commit derived from
+    that metadata pins the version as ``expected_parent``."""
+    version = latest_version(table_dir)
+    meta = (
+        version_extra(table_dir, version).get("text_index")
+        if version is not None
+        else None
+    )
+    if not meta:
+        raise FileNotFoundError(
+            f"{table_dir} has no text_index metadata — build first"
+        )
+    return version, meta
+
+
 def text_index_mark_applied(
     table_dir: str, batch_ids: list[str]
 ) -> int | None:
@@ -280,11 +297,7 @@ def text_index_mark_applied(
     instead of re-indexing rewritten files (which would double-count
     df/n_docs). Returns the committed version, or None when every id is
     already applied."""
-    meta = version_extra(table_dir).get("text_index")
-    if not meta:
-        raise FileNotFoundError(
-            f"{table_dir} has no text_index metadata — build first"
-        )
+    parent, meta = _latest_meta(table_dir)
     applied = list(meta.get("applied", []))
     fresh = [b for b in batch_ids if b not in applied]
     if not fresh:
@@ -294,6 +307,7 @@ def text_index_mark_applied(
         [],
         mode="append",
         extra={"text_index": {**meta, "applied": applied + fresh}},
+        expected_parent=parent,
     )
 
 
@@ -308,12 +322,11 @@ def text_index_append(
     ``batch_id`` makes the append EXACTLY-ONCE across crash/replay:
     the ledger of applied ids lives IN the manifest extra (atomic with
     the posting files); a replayed id returns None without touching
-    the index. Returns the committed version otherwise."""
-    meta = version_extra(table_dir).get("text_index")
-    if not meta:
-        raise FileNotFoundError(
-            f"{table_dir} has no text_index metadata — build first"
-        )
+    the index. Returns the committed version otherwise. A concurrent
+    commit between reading the totals and committing raises
+    ``ConcurrentWriteError`` instead of overwriting its totals and
+    ledger entries."""
+    parent, meta = _latest_meta(table_dir)
     applied = list(meta.get("applied", []))
     if batch_id is not None and batch_id in applied:
         return None
@@ -334,6 +347,7 @@ def text_index_append(
                 "applied": applied + ([batch_id] if batch_id else []),
             }
         },
+        expected_parent=parent,
     )
 
 
@@ -598,20 +612,14 @@ def text_index_delete(
     from ctinexus_ray.state.tableformat import (
         collect_delete_ids,
         cow_delete_rows,
-        latest_version,
         version_files,
     )
 
-    meta = version_extra(table_dir).get("text_index")
-    if not meta:
-        raise FileNotFoundError(
-            f"{table_dir} has no text_index metadata — build first"
-        )
+    snapshot_v, meta = _latest_meta(table_dir)
     applied = list(meta.get("applied", []))
     if batch_id is not None and batch_id in applied:
         return None
     ids = collect_delete_ids(doc_ids, "doc_id", max_broadcast_ids)
-    snapshot_v = latest_version(table_dir)
     files = version_files(table_dir, snapshot_v)
     data_dir = os.path.join(table_dir, f"buckets-{uuid.uuid4().hex[:12]}")
     os.makedirs(data_dir, exist_ok=True)

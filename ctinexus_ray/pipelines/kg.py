@@ -348,9 +348,10 @@ def checkpoint_docs_kg(
 ) -> dict:
     """The expensive per-doc stages, run per INPUT SHARD with
     per-partition commits + lineage sidecars (extract -> fused LLM
-    actor pool -> KG_DOC_COLUMNS). Shared by the full-rederive runner
-    (``run_kg_resumable``) and the incremental one
-    (``pipelines/kg_incr.py``)."""
+    actor pool -> KG_DOC_COLUMNS). The checkpoint half of
+    ``pipelines/kg_incr.run_kg_incremental``; ``reader`` maps one shard
+    path to a CC-shaped Dataset (default: the parquet reader
+    ``sources.documents.read_cc``)."""
     from ctinexus_ray.sources.documents import read_cc
     from ctinexus_ray.state.checkpoint import run_resumable
 
@@ -375,44 +376,6 @@ def checkpoint_docs_kg(
         input_files, docs_kg_dir, pipeline, reader=reader or read_cc,
         lineage_fn=lineage_fn,
     )
-
-
-def run_kg_resumable(
-    input_files: list[str],
-    out_dir: str,
-    config: PipelineConfig | None = None,
-    demos: list[dict] | None = None,
-    reader=None,
-) -> dict:
-    """Resumable corpus run: the expensive per-doc stages execute per INPUT
-    SHARD, each committing a ``part-<pid>.parquet`` + ``_SUCCESS.<pid>.json``
-    lineage sidecar (rows, wall time, token/triple metrics) under
-    ``out_dir/docs_kg``. A restarted run skips committed shards, then
-    triples/nodes/edges/metrics are (re)derived from the full docs_kg
-    checkpoint — idempotent and cheap relative to the LLM stages.
-
-    ``reader`` maps one shard path to a CC-shaped Dataset; default is the
-    parquet reader (``sources.documents.read_cc``) — pass
-    ``sources.warc.read_warc`` to run straight off a crawl archive.
-    """
-    from pathlib import Path
-
-    config = config or PipelineConfig()
-    out = Path(out_dir)
-    docs_kg_dir = out / "docs_kg"
-    summary = checkpoint_docs_kg(
-        input_files, docs_kg_dir, config, demos, reader
-    )
-
-    # derived outputs are idempotent re-computations over the docs_kg
-    # checkpoint — clear stale copies first (write_parquet appends files)
-    import shutil
-
-    for derived in ("triples", "nodes", "edges", "metrics"):
-        shutil.rmtree(out / derived, ignore_errors=True)
-
-    paths = _write_derived_outputs(str(docs_kg_dir), out, config)
-    return {**summary, "docs_kg": str(docs_kg_dir), **paths}
 
 
 def build_kg(

@@ -1,11 +1,12 @@
 """Incremental maintenance of the KG derived layer (nodes / triples /
 edges / metrics) — IVM for the cross-document canonicalization.
 
-``run_kg_resumable`` re-derives every output from the FULL ``docs_kg``
-checkpoint on each run: idempotent, but the canonicalization re-shuffle
-is O(corpus) per ingestion tick — the wrong shape at 10^12 docs where a
-tick adds a few shards to thousands. The entity aggregates are exactly
-the monoid forms ``state/ivm.py`` folds exactly-once:
+Re-deriving every output from the FULL ``docs_kg`` checkpoint on each
+run (``kg._write_derived_outputs``) is idempotent, but the
+canonicalization re-shuffle is O(corpus) per ingestion tick — the wrong
+shape at 10^12 docs where a tick adds a few shards to thousands. The
+entity aggregates are exactly the monoid forms ``state/ivm.py`` folds
+exactly-once:
 
   * ``doc_count`` / ``mention_count`` — Sum
   * ``entity_text`` — Max over per-doc canonical variants
@@ -173,18 +174,24 @@ def _append_shard_map(
     mapped rows as immutable files under the table dir, then ONE append
     commit whose manifest extends the applied-shard ledger — crash
     before the commit leaves only orphan files (vacuumable), crash
-    after replays into a ledger no-op."""
-    applied = set(version_extra(table_dir).get(_LEDGER, []))
+    after replays into a ledger no-op. The commit pins the version the
+    ledger was read from, so a concurrent append aborts it
+    (``ConcurrentWriteError``) instead of losing ledger entries."""
+    from ctinexus_ray.state.tableformat import (
+        latest_version,
+        write_dataset_version,
+    )
+
+    parent = latest_version(table_dir)
+    extra = version_extra(table_dir, parent) if parent is not None else {}
+    applied = set(extra.get(_LEDGER, []))
     todo = [(p, f) for p, f in shards if _bid(p) not in applied]
     if not todo:
         return 0
-    from ctinexus_ray.state.tableformat import write_dataset_version
-
-    extra = dict(version_extra(table_dir))
     extra[_LEDGER] = list(extra.get(_LEDGER, [])) + [_bid(p) for p, _ in todo]
     write_dataset_version(
         table_dir, build(_read_shards([f for _, f in todo])),
-        mode="append", extra=extra,
+        mode="append", extra=extra, expected_parent=parent,
     )
     return len(todo)
 
@@ -275,11 +282,18 @@ def run_kg_incremental(
     demos: list[dict] | None = None,
     reader=None,
 ) -> dict:
-    """The incremental sibling of ``run_kg_resumable``: same per-shard
-    LLM-stage checkpoint, but the derived layer FOLDS the new shards
-    into persisted versioned tables instead of re-deriving from the
-    full checkpoint. A tick that adds one shard to a 10^12-doc corpus
-    pays for one shard, plus one bounded merge."""
+    """The resumable corpus run: the expensive per-doc stages execute
+    per INPUT SHARD, each committing a ``part-<pid>.parquet`` +
+    ``_SUCCESS.<pid>.json`` lineage sidecar under ``out_dir/docs_kg``
+    (a restarted run skips committed shards); the derived layer then
+    FOLDS the new shards into persisted versioned tables, read with
+    ``read_version`` / ``read_kg_nodes_view`` /
+    ``read_kg_metrics_view``. A tick that adds one shard to a
+    10^12-doc corpus pays for one shard, plus one bounded merge.
+
+    ``reader`` maps one shard path to a CC-shaped Dataset; default is
+    the parquet reader (``sources.documents.read_cc``) — pass
+    ``sources.warc.read_warc`` to run straight off a crawl archive."""
     from ctinexus_ray.pipelines.kg import checkpoint_docs_kg
 
     config = config or PipelineConfig()

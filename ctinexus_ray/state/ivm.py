@@ -58,15 +58,18 @@ def mark_applied(view_dir: str, batch_ids: list[str]) -> int | None:
     latest = latest_version(view_dir)
     if latest is None:
         return None
-    applied = applied_batches(view_dir)
+    applied = list(version_extra(view_dir, latest).get("ivm_applied", []))
     fresh = [b for b in batch_ids if b not in applied]
     if not fresh:
         return None
     from ctinexus_ray.state.tableformat import commit_version
 
+    # the ledger was read from ``latest``: a concurrent commit aborts
+    # this one instead of dropping its ledger entries
     return commit_version(
         view_dir, [], mode="append",
         extra={"ivm_applied": applied + fresh},
+        expected_parent=latest,
     )
 
 

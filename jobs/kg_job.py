@@ -7,8 +7,10 @@ On a real cluster (the north_rule deployment shape):
 
 The job connects to the submitting cluster (``ray.init()`` with no
 address resolves RAY_ADDRESS inside the job runtime), streams the corpus
-through the resumable runner (per-shard commits + lineage sidecars), and
-exits cleanly so a rerun after any failure resumes where it stopped.
+through the resumable runner (per-shard commits + lineage sidecars),
+folds the new shards into the versioned derived tables
+(``pipelines/kg_incr.py``), and exits cleanly so a rerun after any
+failure resumes where it stopped.
 
 In this sandbox there is no multi-node cluster or dashboard; the same
 entrypoint runs standalone: ``python jobs/kg_job.py --input ... --output ...``.
@@ -40,11 +42,6 @@ def main() -> int:
                         help="default: auto-detect from the shard suffix")
     parser.add_argument("--similarity-threshold", type=float, default=0.6)
     parser.add_argument("--pool", type=int, default=0, help="KG actor pool size (0 = auto)")
-    parser.add_argument("--incremental", action="store_true",
-                        help="maintain the derived layer as persisted "
-                             "versioned tables, folding only NEW shards "
-                             "(IVM) instead of re-deriving from the full "
-                             "docs_kg checkpoint each run")
     args = parser.parse_args()
 
     import ray
@@ -53,7 +50,7 @@ def main() -> int:
         ray.init(address="local", include_dashboard=False)
 
     from ctinexus_ray.config import PipelineConfig
-    from ctinexus_ray.pipelines.kg import run_kg_resumable
+    from ctinexus_ray.pipelines.kg_incr import run_kg_incremental
 
     base = args.input.rstrip("/")
     files = sorted(glob.glob(f"{base}/*.parquet"))
@@ -98,12 +95,7 @@ def main() -> int:
         similarity_threshold=args.similarity_threshold,
         llm_concurrency=(pool, pool),
     )
-    if args.incremental:
-        from ctinexus_ray.pipelines.kg_incr import run_kg_incremental
-
-        result = run_kg_incremental(files, args.output, config, reader=reader)
-    else:
-        result = run_kg_resumable(files, args.output, config, reader=reader)
+    result = run_kg_incremental(files, args.output, config, reader=reader)
     print(json.dumps(result, indent=2))
     ray.shutdown()
     return 0

@@ -375,6 +375,27 @@ def _maintain_text_index(
     return {"text_index_folded": folded}
 
 
+def _drop_stale_kg_state(kg_dir: str, keep_pids: set) -> None:
+    """Before a KG-view rebuild: delete the four derived views and every
+    docs_kg shard whose pid is not in ``keep_pids``. A dropped shard's
+    sidecar goes before its part file, so a crash in between leaves an
+    uncommitted part, never a committed shard without data."""
+    import glob
+    import shutil
+
+    from ctinexus_ray.state.checkpoint import completed_partitions
+
+    for view in ("nodes_view", "triples_view", "edges_view", "metrics_view"):
+        shutil.rmtree(os.path.join(kg_dir, view), ignore_errors=True)
+    docs_kg = os.path.join(kg_dir, "docs_kg")
+    for pid in completed_partitions(docs_kg) - keep_pids:
+        os.remove(os.path.join(docs_kg, f"_SUCCESS.{pid}.json"))
+    for part in glob.glob(os.path.join(docs_kg, "part-*.parquet")):
+        pid = os.path.basename(part)[len("part-"):-len(".parquet")]
+        if pid not in keep_pids:
+            os.remove(part)
+
+
 def _maintain_kg_view(
     table_dir: str, kg_dir: str, num_partitions: int
 ) -> dict:
@@ -393,12 +414,14 @@ def _maintain_kg_view(
     anywhere replays into no-ops. Compaction versions mark applied
     without work (their rewritten files would otherwise look like new
     shards and double-fold); a vacuumed manifest or logical overwrite
-    wipes and rebuilds from the latest version."""
-    import shutil
-
+    rebuilds the four views from the latest version, keeping every
+    docs_kg shard whose input file that version still holds (corpus
+    data files are immutable and a shard's pid hashes its input path,
+    so those LLM outputs are still exact)."""
     from ctinexus_ray.config import PipelineConfig
     from ctinexus_ray.pipelines.kg import checkpoint_docs_kg
     from ctinexus_ray.pipelines.kg_incr import fold_kg_derived
+    from ctinexus_ray.state.checkpoint import partition_id
     from ctinexus_ray.state.tableformat import latest_version, version_files
 
     latest = latest_version(table_dir)
@@ -445,11 +468,11 @@ def _maintain_kg_view(
             "kg view %s: full rebuild from corpus v%d (%s)",
             kg_dir, latest, rebuild_reason,
         )
-        shutil.rmtree(kg_dir, ignore_errors=True)
-        checkpoint_docs_kg(
-            version_files(table_dir, latest), docs_kg, config,
-            reader=reader,
+        latest_files = version_files(table_dir, latest)
+        _drop_stale_kg_state(
+            kg_dir, {partition_id(f) for f in latest_files}
         )
+        checkpoint_docs_kg(latest_files, docs_kg, config, reader=reader)
         fold_kg_derived(kg_dir, config)
         applied = {f"corpus-v{v}" for v in range(1, latest + 1)}
         save_ledger()

@@ -166,6 +166,28 @@ class TestApplyDelta:
             apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0")
         assert applied_batches(view) == ["other"]
 
+    def test_overtaken_mark_applied_aborts(self, tmp_path, monkeypatch):
+        """A ledger-only commit computed from version N must not land on
+        top of a concurrent delta's version N+1 and drop its ledger
+        entry (a replay of that delta would then double count)."""
+        from ctinexus_ray.state import ivm, tableformat
+
+        view = str(tmp_path / "wc")
+        apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0",
+                    num_partitions=16)
+        real_commit = tableformat.commit_version
+
+        def overtaken(*args, **kwargs):
+            monkeypatch.setattr(tableformat, "commit_version", real_commit)
+            apply_delta(view, _delta(BATCHES[1]), "wkey", {"n": "sum"},
+                        "b1", num_partitions=16)
+            return real_commit(*args, **kwargs)
+
+        monkeypatch.setattr(tableformat, "commit_version", overtaken)
+        with pytest.raises(tableformat.ConcurrentWriteError):
+            ivm.mark_applied(view, ["compact-v2"])
+        assert applied_batches(view) == ["b0", "b1"]
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestHLLView:

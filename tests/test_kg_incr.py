@@ -126,3 +126,49 @@ class TestIncrementalEqualsFull:
         got = _sorted_df(read_kg_nodes_view(f"{out}/nodes_view"))
         want = _sorted_df(canonicalize_nodes(_full_docs_kg(out), config))
         pd.testing.assert_frame_equal(got, want)
+
+
+class TestShardMapRace:
+    def test_overtaken_append_aborts_instead_of_dropping_ledger(
+        self, tmp_path, ray_session
+    ):
+        """A shard-map append whose ledger was read from version N must
+        not commit over a concurrent append's version N+1: the racer's
+        shards would vanish from the ledger and fold twice on replay."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from ctinexus_ray.pipelines.kg_incr import _append_shard_map, _bid
+        from ctinexus_ray.state.tableformat import (
+            ConcurrentWriteError,
+            version_extra,
+        )
+
+        def shard(pid):
+            path = str(tmp_path / f"part-{pid}.parquet")
+            pq.write_table(
+                pa.table(
+                    {
+                        "url": [f"http://{pid}"],
+                        "kg_aligned_json": ["[]"],
+                        "kg_links_json": ["[]"],
+                    }
+                ),
+                path,
+            )
+            return (pid, path)
+
+        table = str(tmp_path / "triples_view")
+        _append_shard_map([shard("a")], table, lambda ds: ds)
+
+        def racing_build(ds):
+            # the racer commits while this append is still building
+            _append_shard_map([shard("racer")], table, lambda d: d)
+            return ds
+
+        with pytest.raises(ConcurrentWriteError):
+            _append_shard_map([shard("b")], table, racing_build)
+        ledger = version_extra(table)["kg_applied"]
+        assert ledger == [_bid("a"), _bid("racer")]
+        assert _append_shard_map([shard("b")], table, lambda ds: ds) == 1
+        assert read_version(table).count() == 3

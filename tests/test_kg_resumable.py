@@ -1,5 +1,5 @@
-"""Resumable corpus-run tests: shard commits, skip-on-restart, lineage
-metrics, identical final outputs."""
+"""Resumable corpus-run tests (``run_kg_incremental``): shard commits,
+skip-on-restart, lineage metrics, derived views covering the corpus."""
 
 from __future__ import annotations
 
@@ -7,10 +7,10 @@ import json
 from pathlib import Path
 
 import pytest
-import ray.data
 
-from ctinexus_ray.pipelines.kg import run_kg_resumable
+from ctinexus_ray.pipelines.kg_incr import run_kg_incremental
 from ctinexus_ray.sources.synth import write_cc_corpus
+from ctinexus_ray.state.tableformat import read_version
 
 
 @pytest.fixture(scope="module")
@@ -21,10 +21,10 @@ def corpus_files(tmp_path_factory):
 
 def test_resume_skips_committed_shards(corpus_files, tmp_path, ray_session, config):
     out = tmp_path / "kg"
-    first = run_kg_resumable(corpus_files, str(out), config)
+    first = run_kg_incremental(corpus_files, str(out), config)
     assert first["processed"] == 3 and first["skipped"] == 0
 
-    second = run_kg_resumable(corpus_files, str(out), config)
+    second = run_kg_incremental(corpus_files, str(out), config)
     assert second["processed"] == 0 and second["skipped"] == 3
 
     # lineage sidecars carry per-shard metrics
@@ -38,12 +38,12 @@ def test_resume_skips_committed_shards(corpus_files, tmp_path, ray_session, conf
         assert "wall_time_s" in rec
 
     # final outputs cover the whole corpus
-    triples = ray.data.read_parquet(first["triples"])
+    triples = read_version(first["triples_view"])
     assert triples.count() > 0
     urls = {r["doc_url"] for r in triples.take_all()}
     assert len(urls) == 60
 
-    nodes = ray.data.read_parquet(first["nodes"])
+    nodes = read_version(first["nodes_view"])
     keys = [r["entity_key"] for r in nodes.take_all()]
     assert len(keys) == len(set(keys)) > 0
 
@@ -51,8 +51,8 @@ def test_resume_skips_committed_shards(corpus_files, tmp_path, ray_session, conf
 def test_partial_restart_completes(corpus_files, tmp_path, ray_session, config):
     out = tmp_path / "kg2"
     # simulate a crashed run: process only the first shard
-    run_kg_resumable(corpus_files[:1], str(out), config)
-    result = run_kg_resumable(corpus_files, str(out), config)
+    run_kg_incremental(corpus_files[:1], str(out), config)
+    result = run_kg_incremental(corpus_files, str(out), config)
     assert result["skipped"] == 1 and result["processed"] == 2
-    triples = ray.data.read_parquet(result["triples"])
+    triples = read_version(result["triples_view"])
     assert len({r["doc_url"] for r in triples.take_all()}) == 60

@@ -1,15 +1,11 @@
 """Generic monoid aggregation (ops/monoid.py): exactness vs direct
-computation, tree-reduce depth independence, empty inputs, and the
-grouped variant."""
+computation, tree-reduce depth independence and empty inputs."""
 
 import numpy as np
 import pyarrow as pa
 import ray.data
 
-from ctinexus_ray.ops.monoid import (
-    grouped_mergeable_aggregate,
-    mergeable_aggregate,
-)
+from ctinexus_ray.ops.monoid import mergeable_aggregate
 
 
 def _ds(values, n_blocks=6):
@@ -76,23 +72,3 @@ class TestMergeableAggregate:
         )
         assert got == [20] * 7
 
-
-class TestGroupedMergeable:
-    def test_per_key_sums_with_nulls(self, ray_session):
-        t = pa.Table.from_pydict(
-            {
-                "k": pa.array(["a", "b", "a", None, "b", "a"]),
-                "v": pa.array([1, 2, 3, 4, 5, 6], type=pa.int64()),
-            }
-        )
-        ds = ray.data.from_arrow(t).repartition(3)
-        got = grouped_mergeable_aggregate(
-            ds,
-            key_col="k",
-            zero=lambda: 0,
-            lift_row_group=lambda b: int(
-                b.column("v").to_numpy(zero_copy_only=False).sum()
-            ),
-            merge=lambda a, b: a + b,
-        )
-        assert got == {"a": 10, "b": 7, None: 4}

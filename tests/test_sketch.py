@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 
 from ctinexus_ray.ops.sketch import (
@@ -382,3 +383,99 @@ class TestHllSetCardinalities:
         assert got["intersect"] == 0
         assert got["union"] == got["distinct_left"] == got["except_left"] == 3
         assert got["except_right"] == 0
+
+
+def _zipf_words(n: int, vocab: int, seed: int = 7) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return [f"w{int(r) % vocab}" for r in rng.zipf(1.3, n)]
+
+
+def _blocks(values: list[str], n_blocks: int) -> ray.data.Dataset:
+    """``values`` as a one-column dataset of exactly ``n_blocks`` blocks
+    (0 = an empty dataset)."""
+    t = pa.Table.from_pydict({"w": pa.array(values, type=pa.string())})
+    if n_blocks == 0:
+        return ray.data.from_arrow(t.slice(0, 0))
+    return ray.data.from_arrow(t).repartition(n_blocks)
+
+
+SPLITS = pytest.mark.parametrize("n_blocks", [0, 1, 7, 32])
+
+
+class TestFoldInvariance:
+    """Max / or / sum states are exactly associative and commutative, so
+    the folded sketches equal a single-pass numpy computation over the
+    whole column bit for bit, however the input is split into blocks."""
+
+    @SPLITS
+    def test_hll_distinct(self, ray_session, n_blocks):
+        vals = _zipf_words(20_000, 5_000) if n_blocks else []
+        got = hll_distinct(_blocks(vals, n_blocks), "w").take_all()
+        regs = _hll_partial(pa.array(vals, type=pa.string()), 14)
+        want = int(round(_hll_estimate(regs)))
+        assert got == [{"approx_distinct": want}]
+
+    @SPLITS
+    def test_count_min(self, ray_session, n_blocks):
+        from ctinexus_ray.ops.sketch import _cms_indices, count_min_estimates
+
+        vals = _zipf_words(20_000, 5_000) if n_blocks else []
+        probes = ["w1", "w2", "w17", "w4999", "absent"]
+        got = count_min_estimates(_blocks(vals, n_blocks), "w", probes).take_all()
+        mat = np.zeros((4, 4096), dtype=np.int64)
+        if vals:
+            idx = _cms_indices(pa.array(vals), 4096, 4)
+            for d in range(4):
+                np.add.at(mat[d], idx[d], 1)
+        pidx = _cms_indices(sorted(probes), 4096, 4)
+        want = [mat[d, pidx[d]] for d in range(4)]
+        assert got == [
+            {"value": v, "n_est": int(n)}
+            for v, n in zip(sorted(probes), np.minimum.reduce(want))
+        ]
+
+    @SPLITS
+    def test_bloom_build(self, ray_session, n_blocks):
+        from ctinexus_ray.ops.sketch import _bloom_positions, bloom_build
+
+        m_bits = 1 << 16
+        vals = _zipf_words(20_000, 5_000) if n_blocks else []
+        got = bloom_build(_blocks(vals, n_blocks), "w", m_bits=m_bits)
+        bits = np.zeros(m_bits // 8, dtype=np.uint8)
+        if vals:
+            pos = _bloom_positions(pa.array(vals), m_bits, 4).ravel()
+            np.bitwise_or.at(
+                bits, pos >> 3, np.uint8(1) << (pos & 7).astype(np.uint8)
+            )
+        assert got == bits.tobytes()
+
+    @SPLITS
+    def test_hll_set_cardinalities_both_sides(self, ray_session, n_blocks):
+        from ctinexus_ray.ops.sketch import hll_set_cardinalities
+
+        left = _zipf_words(20_000, 5_000, seed=1) if n_blocks else []
+        right = _zipf_words(9_000, 3_000, seed=2)
+        got = {
+            r["op"]: r["approx"]
+            for r in hll_set_cardinalities(
+                _blocks(left, n_blocks), _blocks(right, 5), "w"
+            ).take_all()
+        }
+        regs_a = _hll_partial(pa.array(left, type=pa.string()), 14)
+        regs_b = _hll_partial(pa.array(right, type=pa.string()), 14)
+        assert got["distinct_left"] == int(round(_hll_estimate(regs_a)))
+        assert got["distinct_right"] == int(round(_hll_estimate(regs_b)))
+        assert got["union"] == int(
+            round(_hll_estimate(np.maximum(regs_a, regs_b)))
+        )
+
+    @SPLITS
+    def test_misra_gries_exact_under_k(self, ray_session, n_blocks):
+        from collections import Counter
+
+        vals = _zipf_words(20_000, 500) if n_blocks else []
+        got = misra_gries_topk(
+            _blocks(vals, n_blocks), "w", k=1024, top=40
+        ).take_all()
+        want = sorted(Counter(vals).items(), key=lambda t: (-t[1], t[0]))[:40]
+        assert [(r["value"], r["n"]) for r in got] == want

@@ -586,6 +586,36 @@ class TestKgView:
         assert s["kg_folded"] == 0  # rewritten files are NOT new docs
         self._nodes_equal_full(kg)
 
+    def test_rebuild_keeps_shards_of_surviving_files(
+        self, ray_session, tmp_path
+    ):
+        """A vacuum-forced view rebuild re-runs the LLM stages only for
+        corpus files it has no docs_kg shard for: the shard of a file
+        the latest version still holds is kept untouched."""
+        import os
+
+        from ctinexus_ray.state.checkpoint import partition_id
+        from ctinexus_ray.state.tableformat import vacuum, version_files
+        from jobs.stream_job import run_tick
+
+        inp = tmp_path / "in"
+        inp.mkdir()
+        table = str(tmp_path / "tbl")
+        kg = str(tmp_path / "kg")
+        self._shard(inp / "s1.parquet", [1], ["APT29 used Cobalt Strike"])
+        run_tick(str(inp), table, 4, kg_view=kg)
+        (v1_file,) = version_files(table, 1)
+        sidecar = f"{kg}/docs_kg/_SUCCESS.{partition_id(v1_file)}.json"
+        before = os.stat(sidecar).st_mtime_ns
+
+        self._shard(inp / "s2.parquet", [2], ["the loader beaconed out"])
+        run_tick(str(inp), table, 4)  # the view is not told about v2
+        vacuum(table, keep_versions=1)
+        s = run_tick(str(inp), table, 4, kg_view=kg)
+        assert s["kg_rebuilt"]
+        assert os.stat(sidecar).st_mtime_ns == before
+        self._nodes_equal_full(kg)
+
 
 class TestRebuildPreservesIndexShape:
     def test_positions_and_buckets_survive_rebuild(

@@ -600,3 +600,83 @@ class TestDeleteAfterAppend:
         want = bm25_topk_docs(surv, ["hash", "join"], k=10).to_pydict()
         assert got == want
         assert version_extra(idx)["text_index"]["n_docs"] == 2
+
+
+class TestConcurrentAppend:
+    def test_overtaken_append_aborts_instead_of_dropping_totals(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        """An append whose totals and ledger were read from version N must
+        not commit on top of a concurrent append's version N+1: that would
+        drop the racer's n_docs and ledger entry, so a replay of the racer
+        would index its docs twice."""
+        from ctinexus_ray.ops import textindex as ti
+        from ctinexus_ray.state.tableformat import (
+            ConcurrentWriteError,
+            version_extra,
+        )
+
+        d = str(tmp_path / "ti")
+        ti.text_index_build(
+            ray.data.from_arrow(_docs_tbl(TEXTS[:3])), d, num_buckets=8,
+            batch_id="b0",
+        )
+        real = ti._write_buckets
+
+        def overtaken(*args, **kwargs):
+            # the racer commits while this append is still writing
+            monkeypatch.setattr(ti, "_write_buckets", real)
+            ti.text_index_append(
+                ray.data.from_arrow(_docs_tbl(TEXTS[3:], start_id=3)), d,
+                batch_id="b_racer",
+            )
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ti, "_write_buckets", overtaken)
+        with pytest.raises(ConcurrentWriteError):
+            ti.text_index_append(
+                ray.data.from_arrow(_docs_tbl(["late doc"], start_id=10)), d,
+                batch_id="b1",
+            )
+        meta = version_extra(d)["text_index"]
+        assert meta["applied"] == ["b0", "b_racer"]
+        assert meta["n_docs"] == len(TEXTS)
+        # the aborted batch retries cleanly on top of the winner
+        ti.text_index_append(
+            ray.data.from_arrow(_docs_tbl(["late doc"], start_id=10)), d,
+            batch_id="b1",
+        )
+        meta = version_extra(d)["text_index"]
+        assert meta["applied"] == ["b0", "b_racer", "b1"]
+        assert meta["n_docs"] == len(TEXTS) + 1
+
+    def test_overtaken_mark_applied_aborts(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        from ctinexus_ray.ops import textindex as ti
+        from ctinexus_ray.state.tableformat import (
+            ConcurrentWriteError,
+            version_extra,
+        )
+
+        d = str(tmp_path / "ti")
+        ti.text_index_build(
+            ray.data.from_arrow(_docs_tbl(TEXTS[:3])), d, num_buckets=8,
+            batch_id="b0",
+        )
+        real = ti.commit_version
+
+        def overtaken(*args, **kwargs):
+            monkeypatch.setattr(ti, "commit_version", real)
+            ti.text_index_append(
+                ray.data.from_arrow(_docs_tbl(TEXTS[3:], start_id=3)), d,
+                batch_id="b_racer",
+            )
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ti, "commit_version", overtaken)
+        with pytest.raises(ConcurrentWriteError):
+            ti.text_index_mark_applied(d, ["compact-v2"])
+        meta = version_extra(d)["text_index"]
+        assert meta["applied"] == ["b0", "b_racer"]
+        assert meta["n_docs"] == len(TEXTS)

@@ -101,19 +101,19 @@ class TestReadWarcRay:
 
 class TestWarcKGJob:
     def test_kg_resumable_reads_warc_shards(self, ray_session, tmp_path):
-        """run_kg_resumable with reader=read_warc: the KG pipeline runs
+        """run_kg_incremental with reader=read_warc: the KG pipeline runs
         straight off a crawl archive and resumes per WARC shard."""
-        from ctinexus_ray.pipelines.kg import run_kg_resumable
+        from ctinexus_ray.pipelines.kg_incr import run_kg_incremental
 
         src = tmp_path / "crawl"
         write_warc_corpus(src, 6, records_per_file=3)
         shards = sorted(str(p) for p in src.glob("*.warc.gz"))
         assert len(shards) == 2
         out = tmp_path / "kg"
-        s1 = run_kg_resumable(shards, str(out), reader=read_warc)
+        s1 = run_kg_incremental(shards, str(out), reader=read_warc)
         assert s1["skipped"] == 0 and s1["docs_kg"]
         import ray.data
 
         assert ray.data.read_parquet(f"{out}/docs_kg").count() == 6
-        s2 = run_kg_resumable(shards, str(out), reader=read_warc)
+        s2 = run_kg_incremental(shards, str(out), reader=read_warc)
         assert s2["skipped"] == 2

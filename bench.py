@@ -39,12 +39,12 @@ def _init_ray(num_cpus: int):
 def _config(num_cpus: int, n_docs: int | None = None, pool: int | None = None):
     from ctinexus_ray.config import PipelineConfig
 
-    # FIXED-size KG actor pool (min=max — autoscaling ramps too slowly and
-    # measurably underutilizes short jobs), leaving a PROPORTIONAL 1/8 of
-    # CPUs for the read/write/explode task pools (an absolute reserve made
-    # the 8-CPU scaling leg actor-starved: 4/8 CPUs on actors vs 28/32 —
-    # super-linear "efficiency", i.e. a mis-measurement); capped by corpus
-    # size so tiny inputs don't pay 28 actor startups for a 10-second job
+    # KG stage concurrency (the max of llm_concurrency bounds its tasks),
+    # leaving a PROPORTIONAL 1/8 of CPUs for the read/write/explode tasks
+    # (an absolute reserve starved the 8-CPU scaling leg: 4/8 CPUs on the
+    # KG stage vs 28/32 — super-linear "efficiency", i.e. a
+    # mis-measurement); capped by corpus size so tiny inputs don't build
+    # 28 per-process stages for a 10-second job
     if pool is None:
         pool = max(2, num_cpus - max(1, num_cpus // 8))
     if n_docs is not None:

@@ -3,8 +3,8 @@
 A from-scratch rebuild of the query/data-processing capabilities of
 ``peng-gao-lab/ctinexus`` (reference at ``/root/reference``) on
 ``ray.data.Dataset``: every stage is a ``map_batches`` transform over Arrow
-batches, stateful stages (LLM clients, embedding cache, demo index) run as
-actor pools, and the cross-document canonicalization is an explicit
+batches, the LLM stages (clients, embedding cache, demo prefix) run as task
+maps over per-process state, and the cross-document canonicalization is an explicit
 ``groupby`` shuffle keyed on a normalized-mention hash.
 
 The reference pipeline (one document at a time, sequential) is:

@@ -2,7 +2,7 @@
 
 Replaces the reference's hydra/omegaconf config tree
 (reference ctinexus/config/config.yaml, ctinexus/utils/model_utils.py) with a
-plain frozen dataclass that is cheap to ship to Ray actors.
+plain frozen dataclass that is cheap to ship to Ray workers.
 """
 
 from __future__ import annotations
@@ -33,24 +33,24 @@ class PipelineConfig:
     max_retries: int = 5               # app-level retry (llm_processor.py:140-160)
 
     # --- Ray execution knobs ---------------------------------------------
-    # Batch of documents handled per actor call. A large batch amortizes
-    # per-task dispatch overhead (measured with the mock: 64 -> 512
-    # nearly doubled throughput at 32 CPUs). A read block larger than
-    # the batch reaches one actor as one bundle anyway, so LLM waits are
-    # hidden by in-actor overlap (llm_max_inflight), not a smaller batch.
+    # Batch of documents handled per LLM-stage call. A large batch
+    # amortizes per-task dispatch overhead (measured with the mock: 64 ->
+    # 512 nearly doubled throughput at 32 CPUs). A read block larger than
+    # the batch reaches one task as one bundle anyway, so LLM waits are
+    # hidden by in-task overlap (llm_max_inflight), not a smaller batch.
     doc_batch_size: int = 512
-    # Actor-pool bounds for LLM-backed stages. Fixed-size pools (min=max)
-    # utilize immediately; autoscaling ramps too slowly for short jobs.
+    # LLM stages run as task maps over per-process state
+    # (llm.client.stage_task_map); only the max (or an int) bounds tasks.
     llm_concurrency: tuple[int, int] = (2, 8)
-    # CPUs reserved per LLM actor. Against a real rate-limited API this
-    # should drop to ~0.25 with a much higher concurrency ceiling.
+    # CPUs reserved per LLM-stage task. Against a real rate-limited API
+    # this should drop to ~0.25 with a much higher concurrency ceiling.
     llm_num_cpus: float = 1.0
-    # LLM requests one actor keeps in flight (documents overlapped on an
-    # actor-lifetime thread pool). 0 = the client's own bound: HTTP 16
-    # (threads block on sockets), mock 1 (serial, reference parity:
+    # LLM requests one task keeps in flight (documents overlapped on a
+    # per-process, per-plan thread pool). 0 = the client's own bound:
+    # HTTP 16 (threads block on sockets), mock 1 (serial, reference parity:
     # llm_processor.py:911-974 loops documents serially). The total in
-    # flight against a provider is the actor-pool size x this bound;
-    # set it explicitly to fit the provider's rate limit.
+    # flight against a provider is concurrent tasks x this bound; set it
+    # explicitly to fit the provider's rate limit.
     llm_max_inflight: int = 0
     # Stateless CPU stages (extraction, preprocess, explode).
     cpu_batch_size: int = 256

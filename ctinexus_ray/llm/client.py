@@ -16,13 +16,14 @@ shaping is still implemented and unit-tested as pure functions so that a
 real HTTP provider can be plugged in by implementing ``LLMClient``.
 
 Retries are app-level (5 attempts, reference :140-160) and live INSIDE the
-actor's ``__call__`` so an API failure never poisons a Ray task.
+stage's ``__call__`` so an API failure never poisons a Ray task.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import uuid
 from typing import Protocol
 
 from ctinexus_ray.config import PipelineConfig
@@ -81,7 +82,7 @@ class LLMClient(Protocol):
         """Return (vectors, per_text_token_counts).
 
         Per-TEXT counts (not one call total) so usage attribution is a
-        pure function of each text: with the actor-lifetime embed cache,
+        pure function of each text: with the plan-lifetime embed cache,
         a document's metered embed tokens must not depend on which other
         document warmed the cache first (or on thread interleaving when
         more than one request is in flight) — a call-total can only be
@@ -91,7 +92,7 @@ class LLMClient(Protocol):
 
 
 def inflight_bound(config: PipelineConfig, client) -> int:
-    """Requests one actor keeps in flight. An explicit
+    """Requests one LLM-stage task keeps in flight. An explicit
     ``config.llm_max_inflight`` >= 1 wins; 0 defers to the client's own
     ``max_inflight`` (network clients block on sockets and overlap
     well, the in-process mock computes under the GIL and does not). A
@@ -103,8 +104,8 @@ def inflight_bound(config: PipelineConfig, client) -> int:
 
 class InflightPool:
     """Order-preserving map with at most ``bound`` calls in flight, for
-    the per-item loops of LLM-calling actors. The thread pool is built
-    once and lives as long as the actor; at bound 1 there is none and
+    the per-item loops of LLM-calling stages. The thread pool is built
+    once and lives as long as the stage; at bound 1 there is none and
     ``map`` is a plain serial loop (reference parity)."""
 
     def __init__(self, config: PipelineConfig, client):
@@ -121,6 +122,44 @@ class InflightPool:
         if self.executor is None or len(items) <= 1:
             return [fn(x) for x in items]
         return list(self.executor.map(fn, items))
+
+
+_STAGES: dict[type, tuple[str, object]] = {}  # class -> (plan token, stage)
+
+
+def stage_for(stage_cls, token: str, ctor_kwargs: dict):
+    """This worker process's ``stage_cls`` object for plan ``token``,
+    shared by every batch of the plan. A new token retires the old
+    plan's object (executor shut down, embed cache dropped), so no cache
+    outlives its plan."""
+    held, stage = _STAGES.get(stage_cls, (None, None))
+    if held == token:
+        return stage
+    if getattr(stage, "inflight", None) and stage.inflight.executor:
+        stage.inflight.executor.shutdown(wait=False)
+    getattr(stage, "embed_cache", {}).clear()
+    _STAGES[stage_cls] = (token, stage_cls(**ctor_kwargs))
+    return _STAGES[stage_cls][1]
+
+
+def stage_task_map(ds, stage_cls, ctor_kwargs: dict, config: PipelineConfig,
+                   batch_size: int | None):
+    """Map an LLM stage as Ray Data tasks over per-process state
+    (``stage_for``, keyed by a token drawn per plan). Pooled task workers
+    outlive the execution: no actor pool to spawn, no cold workers after
+    it. The max of ``config.llm_concurrency`` bounds concurrent tasks."""
+    token = uuid.uuid4().hex
+
+    def run(batch):
+        return stage_for(stage_cls, token, ctor_kwargs)(batch)
+
+    run.__name__ = stage_cls.__name__  # the operator stays MapBatches(<stage>)
+    bounds = config.llm_concurrency
+    return ds.map_batches(
+        run, batch_format="pyarrow", batch_size=batch_size,
+        concurrency=max(bounds) if isinstance(bounds, tuple) else bounds,
+        num_cpus=config.llm_num_cpus,
+    )
 
 
 def call_with_retry(fn, max_attempts: int = 5, base_delay: float = 0.0):

@@ -22,18 +22,18 @@ wire behavior on the stdlib:
 There is no external network in this sandbox; both are exercised against a
 loopback ``http.server`` in tests, which is exactly how they would talk to
 an OpenAI-compatible gateway (vLLM, ollama's /v1, LiteLLM proxy) in
-production. Each worker/actor builds its own client in ``__init__``; a
-``urllib`` opener per call keeps the client thread-safe under the
-actor's in-flight thread pool.
+production. Each worker process builds its own client once per plan,
+in the stage's ``__init__``; a ``urllib`` opener per call keeps the
+client thread-safe under the stage's in-flight thread pool.
 
 Concurrency: ``HTTPLLMClient.max_inflight`` (16) is the number of
-requests one actor keeps in flight when ``llm_max_inflight`` is 0 (the
-default; the mock's bound is 1). The total in flight against the
-provider is the actor-pool size times that bound, so set
-``llm_max_inflight`` explicitly to fit a provider's rate limit. A read
-block larger than ``doc_batch_size`` reaches one actor as one bundle,
-so it is this in-actor overlap, not a smaller batch, that hides the
-waits.
+requests one LLM-stage task keeps in flight when ``llm_max_inflight``
+is 0 (the default; the mock's bound is 1). The total in flight against
+the provider is the number of concurrent tasks (the max of
+``llm_concurrency``) times that bound, so set ``llm_max_inflight``
+explicitly to fit a provider's rate limit. A read block larger than
+``doc_batch_size`` reaches one task as one bundle, so it is this
+in-task overlap, not a smaller batch, that hides the waits.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class HTTPLLMClient:
     or ``wire="openai"`` to drive anthropic/gemini through a gateway.
     """
 
-    # requests one actor keeps in flight when ``llm_max_inflight`` is 0:
+    # requests one LLM-stage task keeps in flight when ``llm_max_inflight`` is 0:
     # calls block on sockets, not the GIL, so threads overlap the waits
     max_inflight = 16
 

@@ -2,7 +2,7 @@
 
     read_parquet(documents)                    # S1, column-pruned
       -> map_batches(extract_batch)            # E0-E3, stateless, drops html
-      -> map_batches(KGDocStage, concurrency)  # IE+ET+EA+LP fused actor pool
+      -> map_batches(KGDocStage, concurrency)  # IE+ET+EA+LP fused task map
       -> map_batches(explode_triples_batch)    # nested -> flat triples
       -> [entity partials -> partitioned_agg(entity_key) -> nodes]  # THE wide shuffle
       -> write_parquet(triples/nodes/edges)
@@ -18,6 +18,7 @@ import pyarrow as pa
 import ray.data
 
 from ctinexus_ray.config import PipelineConfig
+from ctinexus_ray.llm.client import stage_task_map
 from ctinexus_ray.sources.demos import select_demos
 from ctinexus_ray.sources.synth import make_demo_corpus
 from ctinexus_ray.stages.extract import extract_batch
@@ -43,7 +44,7 @@ def read_documents(paths: str | list[str], columns: list[str] | None = None) -> 
 
 def default_demos(config: PipelineConfig) -> list[dict]:
     """Driver-side demo selection — constant per corpus (quirk Q1), shipped
-    to IE actors as a constructor argument (broadcast once per actor).
+    to the KG stage as a constructor argument (once per process per plan).
 
     ``retriever == "fixed"`` means no few-shot demos at all (the
     reference's other working retriever path,
@@ -68,18 +69,10 @@ def run_kg_stage(
     config: PipelineConfig,
     demos: list[dict] | None = None,
 ) -> ray.data.Dataset:
-    """Fused IE->ET->EA->LP actor pool over extracted documents."""
-    return ds.map_batches(
-        KGDocStage,
-        fn_constructor_kwargs={
-            "config": config,
-            "demos": demos if demos is not None else default_demos(config),
-        },
-        batch_format="pyarrow",
-        batch_size=config.doc_batch_size,
-        concurrency=config.llm_concurrency,
-        num_cpus=config.llm_num_cpus,
-    )
+    """Fused IE->ET->EA->LP task map over extracted documents."""
+    demos = demos if demos is not None else default_demos(config)
+    return stage_task_map(ds, KGDocStage, {"config": config, "demos": demos},
+                          config, config.doc_batch_size)
 
 
 def triples_dataset(kg_ds: ray.data.Dataset, config: PipelineConfig) -> ray.data.Dataset:
@@ -348,7 +341,7 @@ def checkpoint_docs_kg(
 ) -> dict:
     """The expensive per-doc stages, run per INPUT SHARD with
     per-partition commits + lineage sidecars (extract -> fused LLM
-    actor pool -> KG_DOC_COLUMNS). The checkpoint half of
+    task map -> KG_DOC_COLUMNS). The checkpoint half of
     ``pipelines/kg_incr.run_kg_incremental``; ``reader`` maps one shard
     path to a CC-shaped Dataset (default: the parquet reader
     ``sources.documents.read_cc``)."""

@@ -28,7 +28,7 @@ import ray
 import ray.data
 
 from ctinexus_ray.config import PipelineConfig
-from ctinexus_ray.llm.client import InflightPool, get_client
+from ctinexus_ray.llm.client import InflightPool, get_client, stage_task_map
 from ctinexus_ray.ops.groupagg import hash_reduce
 
 
@@ -216,13 +216,14 @@ MERGE_VERIFY_PROMPT = (
 
 
 class MergeVerifyStage:
-    """Actor-pool LLM fine pass of coarse-to-fine canonical-entity
-    merging (the north-star stage the embedding threshold alone cannot
-    express): the coarse pass proposes embedding-near candidate pairs;
-    each pair is confirmed or rejected by one completion at temperature
-    0. State (client) loads once per actor; a per-actor memo keyed on
-    the (text_a, text_b, class) triple collapses repeat pairs across
-    batches (head entities recur). Pairs of a batch overlap their calls
+    """LLM fine pass of coarse-to-fine canonical-entity merging (the
+    north-star stage the embedding threshold alone cannot express): the
+    coarse pass proposes embedding-near candidate pairs; each pair is
+    confirmed or rejected by one completion at temperature 0. It maps as
+    Ray Data tasks over per-process state (``stage_task_map``): the
+    client loads once per worker process per plan, and a memo keyed on
+    the (text_a, text_b, class) triple collapses repeat pairs across the
+    plan's batches (head entities recur). Pairs of a batch overlap calls
     up to the client's in-flight bound; two threads may both miss the
     memo for one pair, which only repeats a deterministic verdict. Only
     YES pairs survive into the component resolution."""
@@ -268,7 +269,6 @@ def near_canonical_mapping(
     pair_mode: str = "star",
     distributed_threshold: int = 2_000_000,
     llm_verify: bool = False,
-    llm_concurrency: tuple[int, int] = (1, 4),
 ) -> ray.data.Dataset:
     """(entity_key -> canon_key) rows for entities merged into a near
     neighbor; identity rows are omitted. Component representative =
@@ -276,8 +276,9 @@ def near_canonical_mapping(
 
     ``llm_verify=True`` inserts the LLM FINE pass between the coarse
     embedding candidates and component resolution (coarse-to-fine
-    merging): only pairs the model confirms merge. Deterministic under
-    the mock provider (equal-after-normalization or containment).
+    merging): only pairs the model confirms merge, at the concurrency of
+    ``config.llm_concurrency``. Deterministic under the mock provider
+    (equal-after-normalization or containment).
 
     Two resolution paths with IDENTICAL results (property-tested):
       * edge count <= ``distributed_threshold``: driver-side union-find —
@@ -313,11 +314,8 @@ def near_canonical_mapping(
     )
 
     if llm_verify:
-        pairs = pairs.map_batches(
-            MergeVerifyStage,
-            fn_constructor_args=(config,),
-            batch_format="pyarrow",
-            concurrency=llm_concurrency,
+        pairs = stage_task_map(
+            pairs, MergeVerifyStage, {"config": config}, config, None
         )
 
     pairs = pairs.materialize()

@@ -45,7 +45,7 @@ def run_ie(
     """Few-shot triple extraction (reference ctinexus/llm_processor.py:1101-1138).
 
     ``ie_prefix``: cached static prompt prefix (see prompts.make_ie_prefix)
-    — actors pass it to avoid re-rendering the constant demo block per doc."""
+    — the KG stage passes it to avoid re-rendering the constant demo block per doc."""
     prompt = build_ie_prompt(text, demos, prefix=ie_prefix)
     start = time.perf_counter()
     response, in_tok, out_tok = call_with_retry(
@@ -133,7 +133,7 @@ def run_ea(
     (reference ctinexus/cti_processor.py + ctinexus/graph_constructor.py:246-441).
 
     ``embed_cache`` (normalized mention text -> (vector, token_count))
-    is actor-lifetime state in the Ray stage — head mentions repeat
+    is plan-lifetime state in the Ray stage — head mentions repeat
     across documents, so the cache turns the dominant embedding cost
     into a lookup. Metering charges EVERY document for its own mention
     texts, cache hit or not (the reference runs one document per

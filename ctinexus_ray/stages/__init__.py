@@ -1,1 +1,1 @@
-"""Ray Data stages: stateless map_batches tasks + actor-pool callable classes."""
+"""Ray Data stages: stateless map_batches tasks + stateful stage classes."""

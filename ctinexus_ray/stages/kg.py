@@ -1,15 +1,15 @@
-"""The fused KG actor-pool stage (M1-M3, IE/ET/EA/LP) over Arrow batches.
+"""The fused KG stage (M1-M3, IE/ET/EA/LP) over Arrow batches.
 
-``KGDocStage`` runs IE -> ET -> EA -> LP per document in one actor pool.
+``KGDocStage`` runs IE -> ET -> EA -> LP per document in one task map.
 With per-document LLM semantics and no shuffle between the four stages,
-fusing removes three rounds of batch (de)serialization; actor state
+fusing removes three rounds of batch (de)serialization; stage state
 (client, demo list, embedding cache, rendered prompt prefix) is built
 once in ``__init__``. Documents of a batch overlap their LLM waits up
 to the client's in-flight bound (``llm.client.InflightPool``).
 
-It follows the Ray Data actor contract: construct with
-``map_batches(KGDocStage, fn_constructor_kwargs=..., concurrency=(min,max),
-batch_size=B, batch_format="pyarrow")``.
+``pipelines/kg.run_kg_stage`` maps it as Ray Data tasks through
+``llm.client.stage_task_map``: each worker process builds one
+``KGDocStage`` per plan and reuses it for every batch of that plan.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _i64(values) -> pa.Array:
 
 class KGDocStage:
     """Fused IE->ET->EA->LP per document (the flagship stage); client +
-    config built once per actor process."""
+    config built once per worker process per plan."""
 
     def __init__(self, config: PipelineConfig, demos: list[dict] | None = None):
         from ctinexus_ray.llm.prompts import make_ie_prefix
@@ -45,11 +45,11 @@ class KGDocStage:
         self.config = config
         self.client = get_client(config)
         self.demos = demos or []
-        # static few-shot prompt prefix rendered ONCE per actor (quirk Q1:
+        # static few-shot prompt prefix rendered ONCE per stage (quirk Q1:
         # the demo selection is a corpus constant)
         self.ie_prefix = make_ie_prefix(self.demos)
         # corpus-level embedding cache (normalized mention text -> vector);
-        # lives for the actor's lifetime, shared across batches
+        # lives as long as the stage (one plan), shared across batches
         self.embed_cache: dict[str, tuple[list[float], int]] = {}
         self.inflight = InflightPool(config, self.client)
 

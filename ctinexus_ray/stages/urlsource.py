@@ -6,7 +6,7 @@ Re-expresses the reference's ``UrlSourceInput.call``
 (reference ctinexus/llm_processor.py:220-313) over Arrow batches: the
 ``html`` column of the input corpus replaces the live fetch (the corpus IS
 the crawl), errors become status/error_code columns instead of error
-dicts, and the summarizer runs as an actor-pool stage.
+dicts, and the summarizer runs as a task map over per-process state.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from ctinexus_ray.functions.text import (
     normalize_url,
 )
 from ctinexus_ray.llm.client import InflightPool, call_with_retry, get_client
+from ctinexus_ray.llm.client import stage_task_map
 from ctinexus_ray.llm.prompts import build_repair_prompt, build_summary_prompt
 
 
@@ -48,9 +49,9 @@ def _error_row(url: str, error_code: str, domain: str = "") -> dict:
 
 
 class UrlSourceStage:
-    """Actor-pool stage: (url, html, ...) -> url-source record columns.
-    URLs of a batch overlap their summarize calls up to the client's
-    in-flight bound."""
+    """LLM stage: (url, html, ...) -> url-source record columns, built
+    once per worker process per plan. URLs of a batch overlap their
+    summarize calls up to the client's in-flight bound."""
 
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -131,14 +132,8 @@ class UrlSourceStage:
 
 def url_source_dataset(documents, config: PipelineConfig):
     """documents (CC shape) -> url-source records (summarized final_text)."""
-    return documents.map_batches(
-        UrlSourceStage,
-        fn_constructor_kwargs={"config": config},
-        batch_format="pyarrow",
-        batch_size=config.doc_batch_size,
-        concurrency=config.llm_concurrency,
-        num_cpus=config.llm_num_cpus,
-    )
+    return stage_task_map(documents, UrlSourceStage, {"config": config}, config,
+                          config.doc_batch_size)
 
 
 class FetchStage:

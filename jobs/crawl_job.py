@@ -103,7 +103,11 @@ def run_crawl_job(
     # broadcast (ray.put), read inside every task — never reshipped
     idx_ref = None
     if robots_path:
-        robots_tbl = ray.data.read_parquet(robots_path).take_all()
+        from ctinexus_ray.ops.distjoin import BROADCAST_MAX_ROWS as cap
+
+        robots_tbl = ray.data.read_parquet(robots_path).take(cap + 1)
+        if len(robots_tbl) > cap:
+            raise ValueError(f"crawl_job: robots hosts exceed BROADCAST_MAX_ROWS={cap}")
         idx_ref = ray.put(
             _RobotsIndex(
                 {r["host"]: parse_robots(r["robots_txt"] or "") for r in robots_tbl}

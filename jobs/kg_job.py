@@ -41,7 +41,7 @@ def main() -> int:
                         default=None,
                         help="default: auto-detect from the shard suffix")
     parser.add_argument("--similarity-threshold", type=float, default=0.6)
-    parser.add_argument("--pool", type=int, default=0, help="KG actor pool size (0 = auto)")
+    parser.add_argument("--pool", type=int, default=0, help="concurrent KG stage tasks (0 = auto)")
     args = parser.parse_args()
 
     import ray

@@ -105,3 +105,26 @@ class TestCrawlJob:
         assert lineage["robots_allowed"] == 4
         # c4 off: every row passes the keep flag
         assert lineage["c4_kept"] == 5
+
+    def test_robots_above_broadcast_cap_refuses(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        import pytest
+
+        from ctinexus_ray.ops import distjoin
+        from jobs.crawl_job import run_crawl_job
+
+        inp, outp, _ = self._setup(tmp_path)
+        robots = tmp_path / "robots2.parquet"
+        pq.write_table(
+            pa.Table.from_pydict(
+                {"host": ["a.example.com", "b.example.com"],
+                 "robots_txt": ["", ""]}
+            ),
+            robots,
+        )
+        monkeypatch.setattr(distjoin, "BROADCAST_MAX_ROWS", 1)
+        with pytest.raises(ValueError, match="BROADCAST_MAX_ROWS=1"):
+            run_crawl_job(inp, outp, robots_path=str(robots))
+        monkeypatch.setattr(distjoin, "BROADCAST_MAX_ROWS", 2)
+        assert run_crawl_job(inp, outp, robots_path=str(robots))["rows"] == 5

@@ -185,6 +185,51 @@ class TestWorkerDeath:
         )
         _assert_same_outputs(tmp_path / "poisoned", tmp_path / "clean")
 
+    def test_kg_worker_with_live_stage_death_end_to_end(
+        self, corpus_files, tmp_path, ray_session, config
+    ):
+        """The KG stage's own task dies on its second batch, in a worker
+        whose per-process ``KGDocStage`` (client, demo prefix, embed
+        cache) has already served the first: the retried task rebuilds
+        the state in another process, and the docs_kg checkpoint equals
+        the undisturbed run's."""
+        from ctinexus_ray.llm.client import stage_task_map
+        from ctinexus_ray.pipelines.kg import (
+            KG_DOC_COLUMNS,
+            default_demos,
+            extract_documents,
+            run_kg_stage,
+        )
+        from ctinexus_ray.stages.kg import KGDocStage
+
+        flag = str(tmp_path / "kg_stage_poison")
+        poison_once = _make_poison()
+
+        class DiesHoldingState(KGDocStage):
+            def __call__(self, batch):
+                self.served = getattr(self, "served", 0) + 1
+                if self.served >= 2:
+                    poison_once(flag)
+                return super().__call__(batch)
+
+        def poisoned(ds):
+            return stage_task_map(
+                extract_documents(ds, config), DiesHoldingState,
+                {"config": config, "demos": default_demos(config)},
+                config, 4,
+            ).select_columns(KG_DOC_COLUMNS)
+
+        def clean(ds):
+            return run_kg_stage(
+                extract_documents(ds, config), config
+            ).select_columns(KG_DOC_COLUMNS)
+
+        got = run_resumable(corpus_files, tmp_path / "poisoned", poisoned)
+        assert os.path.exists(flag), "poison never fired"
+        assert got["processed"] == 2
+        run_resumable(corpus_files, tmp_path / "clean", clean)
+        _assert_same_outputs(tmp_path / "poisoned", tmp_path / "clean")
+
     def test_index_build_task_death_keeps_manifest_atomic(
         self, tmp_path, ray_session
     ):

@@ -547,3 +547,42 @@ class TestActorLoopsInflightOverHTTP:
         expected = list(MergeVerifyStage(PipelineConfig())(batch))
         assert [t.to_pydict() for t in out] == [t.to_pydict() for t in expected]
         assert 0 < sum(t.num_rows for t in out) < batch.num_rows
+
+
+class TestKGBuildOverHTTP:
+    def test_docs_kg_matches_mock_build(
+        self, ray_session, mock_reply_server, tmp_path
+    ):
+        """A whole ``run_kg_to_parquet`` over the loopback gateway, three
+        batches through the KG task map and no actor pool, writes the
+        docs_kg rows of the in-process mock build."""
+        import ray.data
+        from ray._private import state
+
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.pipelines.kg import run_kg_to_parquet
+        from ctinexus_ray.sources.synth import make_cc_table
+
+        def build(provider: str, name: str) -> pa.Table:
+            cfg = PipelineConfig(
+                provider=provider, llm_concurrency=(1, 2), doc_batch_size=4,
+                extra={"api_base": mock_reply_server},
+            )
+            paths = run_kg_to_parquet(
+                ray.data.from_arrow(make_cc_table(12)), str(tmp_path / name), cfg
+            )
+            import pyarrow.parquet as pq
+
+            return pq.read_table(paths["docs_kg"]).sort_by("url")
+
+        actors_before = set(state.actors())
+        _MockReplyHandler.reset()
+        got = build("openai", "http")
+        assert _MockReplyHandler.peak >= 1
+        assert not [
+            a for a, info in state.actors().items()
+            if a not in actors_before and "MapWorker" in info["ActorClassName"]
+        ]
+        want = build("mock", "mock")
+        assert got.num_rows == 12
+        assert got.equals(want)

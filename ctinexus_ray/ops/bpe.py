@@ -304,11 +304,13 @@ def bpe_encode(
 ) -> ray.data.Dataset:
     """Subword-token counts per document under a trained merge table.
     The merge list is tiny (vocabulary growth, not corpus growth) and
-    ships once per actor as a constructor arg — never per batch. Output:
-    (doc_id, n_subwords)."""
+    ships once per actor as a constructor arg — never per batch. The
+    pool stays one CPU short of the session so the upstream read can
+    still run. Output: (doc_id, n_subwords)."""
+    cpus = int(ray.cluster_resources().get("CPU", 2))
     return docs.map_batches(
         BpeEncodeStage,
         fn_constructor_args=(merges,),
         batch_format="pyarrow",
-        concurrency=concurrency,
+        concurrency=max(1, min(concurrency, cpus - 1)),
     )

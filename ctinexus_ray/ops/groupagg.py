@@ -9,7 +9,7 @@ users), the scalable shape is:
     1. map: add ``pkey = hash(keys) mod P``  (vectorized / cheap)
     2. ``groupby(pkey)`` — P groups only, so per-group overhead is O(P)
     3. inside each partition: ONE vectorized pass (``partitioned_agg``:
-       a ``pandas.groupby.agg``) over all keys that hashed there
+       a ``pa.Table.group_by().aggregate``) over all keys that hashed there
 
 ``hash_reduce`` is that shape with a caller-supplied step 3 and the one
 place in the engine that builds it; ``partitioned_agg`` and every other
@@ -156,6 +156,10 @@ def hash_reduce(
     )
 
 
+# agg name -> Arrow hash aggregate (options set in ``partitioned_agg``)
+_ARROW_AGGS = {"sum": "sum", "size": "count", "min": "min", "max": "max"}
+
+
 def partitioned_agg(
     ds: ray.data.Dataset,
     keys: list[str],
@@ -164,26 +168,54 @@ def partitioned_agg(
 ) -> ray.data.Dataset:
     """Grouped aggregation with O(P) per-group overhead.
 
-    ``named_aggs`` maps output column -> (input column, pandas agg fn
-    name), e.g. ``{"n_dups": ("doc_id", "size"), "doc_id": ("doc_id",
-    "min")}``. Output columns: keys + named_aggs keys.
+    ``named_aggs`` maps output column -> (input column, agg name), e.g.
+    ``{"n_dups": ("doc_id", "size"), "doc_id": ("doc_id", "min")}``. The
+    agg names are ``sum`` (numeric columns; NULLs and NaNs skipped, 0 for
+    a group with no value, int64 for any integer input), ``size`` (rows,
+    NULLs included), ``min`` and ``max`` (numeric, string or temporal;
+    NULL for a group with no value). NULL keys form their own group.
+    Output columns: keys + named_aggs keys. Each partition is reduced by
+    one ``pa.Table.group_by().aggregate``.
     ``num_partitions=None`` derives the count (see ``hash_reduce``).
     """
-    spec = {out: (col, fn) for out, (col, fn) in named_aggs.items()}
+    keys = list(keys)
+    named_aggs = {out: (col, fn) for out, (col, fn) in named_aggs.items()}
+    # distinct (col, agg, Arrow agg); an unknown agg name fails here
+    specs = [(c, fn, _ARROW_AGGS[fn]) for c, fn in dict.fromkeys(named_aggs.values())]
 
-    def reduce_partition(g: pd.DataFrame) -> pd.DataFrame:
-        # dropna=False: SQL GROUP BY keeps the NULL group
-        out = g.groupby(keys, sort=False, dropna=False).agg(**spec).reset_index()
-        for kcol in keys:
-            if g[kcol].dtype == object:
-                # pandas surfaces the null group key as NaN (and degrades
-                # an all-null partition's column to float64); restore
-                # object dtype + None so the Arrow column is a proper null
-                col = out[kcol].astype(object)
-                out[kcol] = col.where(pd.notna(col), None)
-        return out[keys + list(named_aggs)]
+    def reduce_partition(part: pa.Table) -> pa.Table:
+        schema = part.schema
+        for col in {c for c, _, _ in specs if pa.types.is_floating(schema.field(c).type)}:
+            # NaN counts as missing, like NULL (Arrow's min of all-NaN is inf)
+            x = part.column(col)
+            part = part.set_column(schema.get_field_index(col), col,
+                                   pc.if_else(pc.is_nan(x), None, x))
+        gkeys, dicts = keys, None
+        if len(keys) > 1 and any(part.column(k).null_count for k in keys):
+            # pyarrow 16 splits a multi-column key's NULL-bearing groups
+            # into several: group by the keys' dictionary indices instead
+            dicts = [pc.dictionary_encode(part.column(k).combine_chunks(),
+                                          null_encoding="encode") for k in keys]
+            gkeys = [f"__key{i}" for i in range(len(keys))]
+            part = pa.Table.from_arrays(
+                part.columns + [d.indices for d in dicts],
+                names=part.column_names + gkeys,
+            )
+        # sum gives 0 for a group with no value, size counts every row
+        # (options are built here: they do not pickle)
+        opts = {"sum": pc.ScalarAggregateOptions(min_count=0),
+                "size": pc.CountOptions(mode="all")}
+        g = part.group_by(gkeys, use_threads=False).aggregate(
+            [(col, agg, opts.get(fn)) for col, fn, agg in specs]
+        )
+        cols = [g.column(k) for k in gkeys]
+        if dicts:
+            cols = [d.dictionary.take(c) for d, c in zip(dicts, cols)]
+        cols += [g.column(f"{col}_{_ARROW_AGGS[fn]}") for col, fn in named_aggs.values()]
+        return pa.Table.from_arrays(cols, names=keys + list(named_aggs))
 
-    return hash_reduce(ds, keys, reduce_partition, num_partitions=num_partitions)
+    return hash_reduce(ds, keys, reduce_partition,
+                       num_partitions=num_partitions, batch_format="pyarrow")
 
 
 def rollup_counts(

@@ -54,6 +54,8 @@ import ray.data
 
 from ctinexus_ray.config import PipelineConfig
 from ctinexus_ray.pipelines.kg import (
+    METRIC_COLUMNS,
+    METRIC_SOURCES,
     canonicalize_node_partials,
     metrics_dataset,
     strip_class_rank_batch,
@@ -74,11 +76,6 @@ _NODE_VALUE_COLS = {
     "mention_count": "sum",
 }
 _NODE_VALUE_TYPES = {"entity_text": pa.string(), "class_rank": pa.string()}
-_METRIC_COLS = (
-    "docs", "triples", "mentions", "entities", "subgraphs",
-    "dropped_triplets", "llm_input_tokens", "llm_output_tokens",
-    "embed_tokens",
-)
 
 
 def committed_kg_shards(docs_kg_dir: str) -> list[tuple[str, str]]:
@@ -147,19 +144,14 @@ def _fold_metrics(
     # the bulk of their bytes and the metrics fold never reads them
     delta = metrics_dataset(
         ray.data.read_parquet(
-            [f for _, f in todo],
-            columns=[
-                "triples_count", "mentions_num", "entity_num",
-                "subgraph_num", "dropped_triplets", "llm_input_tokens",
-                "llm_output_tokens", "embed_tokens",
-            ],
+            [f for _, f in todo], columns=list(METRIC_SOURCES.values())
         )
     ).map_batches(with_stage_key, batch_format="pyarrow")
     apply_delta(
         view_dir,
         delta,
         key_col="stage_key",
-        value_cols={c: "sum" for c in _METRIC_COLS},
+        value_cols={c: "sum" for c in METRIC_COLUMNS},
         batch_id=[_bid(p) for p, _ in todo],
     )
     return len(todo)
@@ -272,7 +264,7 @@ def read_kg_nodes_view(view_dir: str) -> ray.data.Dataset:
 
 def read_kg_metrics_view(view_dir: str) -> ray.data.Dataset:
     """The corpus metrics rollup, minus the internal fold key."""
-    return read_version(view_dir, columns=["stage", *_METRIC_COLS])
+    return read_version(view_dir, columns=["stage", *METRIC_COLUMNS])
 
 
 def run_kg_incremental(

@@ -179,3 +179,36 @@ class TestBpeEncode:
         # rank 0 = (b, c) merges FIRST even though (a, b) appears earlier
         stage = BpeEncodeStage([("b", "c"), ("a", "b")])
         assert stage.encode_word("abc") == ["a", "bc", END_OF_WORD]
+
+
+_ENCODE_PARQUET = """
+import sys
+import pyarrow as pa, pyarrow.parquet as pq, ray, ray.data
+from ctinexus_ray.ops.bpe import bpe_encode
+pq.write_table(pa.table({"doc_id": list(range(64)),
+                         "text": ["low lower lowest"] * 64}), sys.argv[1])
+ray.init(address="local", num_cpus=4, include_dashboard=False)
+rows = bpe_encode(ray.data.read_parquet(sys.argv[1]), [("l", "o")]).take_all()
+print(sorted(r["n_subwords"] for r in rows)[0], len(rows))
+"""
+
+
+class TestBpeEncodeCpuBound:
+    def test_read_parquet_source_finishes_on_four_cpus(self, tmp_path):
+        """A 4-actor pool on a 4-CPU session once took every CPU, so the
+        upstream ReadParquet task never ran and the encode hung. Own
+        session in a child process, so a hang fails by timeout here
+        without wedging the shared test session."""
+        import os
+        import subprocess
+        import sys
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", _ENCODE_PARQUET, str(tmp_path / "d.parquet")],
+            capture_output=True, text=True, timeout=180, cwd=repo,
+            env={**os.environ, "RAY_ADDRESS": "", "PYTHONPATH": repo},
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        # "low lower lowest" with the (l, o) merge: 3 + 5 + 6 symbols
+        assert out.stdout.split()[-2:] == ["14", "64"]

@@ -211,6 +211,119 @@ class TestPartitionedAgg:
         got = add_hash_pkey(pa.table({"k": col}), ["k"], p).column("pkey")
         assert got.to_pylist() == pc.bit_wise_and(col, p - 1).to_pylist()
 
+    typed_rows = st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(["a", "b", "", "ü"]), st.none()),  # k1
+            st.integers(min_value=0, max_value=2),                       # k2
+            st.one_of(st.integers(min_value=-10**9, max_value=10**9), st.none()),
+            st.one_of(st.floats(min_value=-1e6, max_value=1e6), st.none(),
+                      st.just(float("nan"))),
+            st.one_of(st.text(max_size=3), st.none()),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+
+    @given(typed_rows)
+    @settings(max_examples=25, deadline=None)
+    def test_typed_values_match_sql(self, ray_session, rows):
+        """sum/size/min/max over nullable int64, float64 and string
+        values, by a NULL-bearing string key alone and with an int key,
+        equal the SQL answer with pandas' empty sum: NULLs skipped, an
+        all-NULL sum 0, an all-NULL min/max NULL, NULL keys grouped; a NaN
+        counts as NULL and an integer sum stays int64 in every block."""
+        import math
+
+        import pyarrow as pa
+        import ray.data
+
+        from ctinexus_ray.ops.groupagg import partitioned_agg
+
+        cols = ["k1", "k2", "i", "f", "s"]
+        table = pa.Table.from_pydict(
+            {c: pa.array([r[j] for r in rows],
+                         type=[pa.string(), pa.int64(), pa.int64(),
+                               pa.float64(), pa.string()][j])
+             for j, c in enumerate(cols)}
+        )
+        ds = ray.data.from_arrow(
+            [table.slice(i, 9) for i in range(0, table.num_rows, 9)]
+        )
+        aggs = {f"{c}_{fn}": (c, fn) for c in ("i", "f", "s")
+                for fn in ("sum", "size", "min", "max") if (c, fn) != ("s", "sum")}
+
+        def sql(vals, fn):
+            vals_nn = [v for v in vals if v is not None and v == v]
+            if fn == "size":
+                return len(vals)
+            if fn == "sum":
+                return sum(vals_nn)
+            return (min if fn == "min" else max)(vals_nn) if vals_nn else None
+
+        def same(a, b):
+            if isinstance(a, float) or isinstance(b, float):
+                return a is not None and b is not None and math.isclose(
+                    a, b, rel_tol=1e-9, abs_tol=1e-6)
+            return a == b
+
+        for keys in (["k1"], ["k1", "k2"]):
+            out = pa.concat_tables(t for t in ray.get(partitioned_agg(
+                ds, keys, aggs, num_partitions=4).to_arrow_refs()) if t.num_rows)
+            assert out.column_names == keys + list(aggs)
+            assert out.schema.field("i_size").type == pa.int64()
+            assert out.schema.field("i_sum").type == pa.int64()
+            groups: dict = {}
+            for r in rows:
+                groups.setdefault(tuple(r[cols.index(k)] for k in keys), []).append(r)
+            got = {tuple(r[k] for k in keys): r for r in out.to_pylist()}
+            assert set(got) == set(groups)
+            for key, members in groups.items():
+                for name, (c, fn) in aggs.items():
+                    want = sql([m[cols.index(c)] for m in members], fn)
+                    assert same(got[key][name], want), (key, name)
+
+
+class TestMetricsDataset:
+    COUNTERS = ["triples_count", "mentions_num", "entity_num", "subgraph_num",
+                "dropped_triplets", "llm_input_tokens", "llm_output_tokens",
+                "embed_tokens"]
+
+    def _docs_kg(self, n, off):
+        import pyarrow as pa
+
+        return pa.table({c: pa.array([i + j + off for i in range(n)], pa.int64())
+                         for j, c in enumerate(self.COUNTERS)})
+
+    def test_empty_docs_kg_has_no_row(self, ray_session):
+        import ray.data
+
+        from ctinexus_ray.pipelines.kg import metrics_dataset
+
+        assert metrics_dataset(ray.data.from_arrow(self._docs_kg(0, 0))).take_all() == []
+
+    def test_multi_block_totals_one_row(self, ray_session):
+        import pyarrow as pa
+        import ray.data
+
+        from ctinexus_ray.pipelines.kg import metrics_dataset
+
+        blocks = [self._docs_kg(3, 0), self._docs_kg(5, 10),
+                  self._docs_kg(0, 0), self._docs_kg(7, 100)]
+        out = pa.concat_tables(
+            t for t in ray.get(metrics_dataset(ray.data.from_arrow(blocks))
+                               .to_arrow_refs()) if t.num_rows
+        )
+        names = ["stage", "docs", "triples", "mentions", "entities", "subgraphs",
+                 "dropped_triplets", "llm_input_tokens", "llm_output_tokens",
+                 "embed_tokens"]
+        assert out.schema == pa.schema(
+            [("stage", pa.string())] + [(n, pa.int64()) for n in names[1:]])
+        whole = pa.concat_tables(blocks)
+        want = {"stage": "kg", "docs": 15}
+        want.update({n: sum(whole.column(c).to_pylist())
+                     for n, c in zip(names[2:], self.COUNTERS)})
+        assert out.to_pylist() == [want]
+
 
 class TestHashReduce:
     def test_non_power_of_two_refuses(self, ray_session):

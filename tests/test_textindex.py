@@ -354,6 +354,34 @@ class TestTextIndexDelete:
             idx, [self.TEXTS[i] for i in keep_ids], keep_ids
         )
 
+    def test_delete_empty_text_docs_equals_fresh_build(
+        self, ray_session, tmp_path
+    ):
+        """An empty or whitespace-only text tokenizes to [''] (the SQL
+        split rule), so it has a posting like any doc: deleting one from
+        the build and one from an append drops both from n_docs."""
+        from ctinexus_ray.ops.textindex import (
+            text_index_append,
+            text_index_build,
+            text_index_delete,
+        )
+        from ctinexus_ray.state.tableformat import version_extra
+
+        idx = str(tmp_path / "t")
+        text_index_build(
+            ray.data.from_arrow(_docs_tbl(self.TEXTS)), idx, num_buckets=8
+        )
+        text_index_append(
+            ray.data.from_arrow(_docs_tbl([" \t", "hash vector"], start_id=6)),
+            idx,
+        )
+        text_index_delete(idx, [5, 6])
+        meta = version_extra(idx)["text_index"]
+        assert meta["n_docs"] == 6  # 8 - the two empty docs
+        keep_ids = [0, 1, 2, 3, 4, 7]
+        texts = self.TEXTS[:5] + ["hash vector"]
+        self._survivor_equal(idx, texts, keep_ids)
+
     def test_delete_is_exactly_once_and_absent_ids_noop(
         self, ray_session, tmp_path
     ):

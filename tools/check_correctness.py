@@ -12,7 +12,8 @@ column names, the same row count and the same rows (columns compared
 by name, rows sorted by all columns; floats rounded to 9 decimals, then
 compared with ``math.isclose`` at 1e-9). Queries without an oracle only
 have to run. Prints one line per query and a summary; exits non-zero
-when any query fails.
+when any query fails. A query still running after ``QUERY_DEADLINE_S``
+fails as ``(timeout)`` and ends the sweep: its execution keeps its CPUs.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ import decimal
 import math
 import os
 import sys
+import threading
 import time
 import traceback
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+QUERY_DEADLINE_S = 600
 TABLES = (
     "region", "nation", "customer", "supplier", "part", "orders",
     "lineitem", "events", "documents", "embeddings",
@@ -136,6 +139,17 @@ def check(name, fn, sql, sf_dir, con) -> tuple[bool, str]:
     return True, f"{len(grows)} rows match"
 
 
+def run_with_deadline(fn, deadline_s: float):
+    """``fn()``, or None when it is still running after ``deadline_s``:
+    it then keeps running in a daemon thread, which neither
+    ``ray.shutdown()`` nor the exit waits for."""
+    box = []
+    worker = threading.Thread(target=lambda: box.append(fn()), daemon=True)
+    worker.start()
+    worker.join(deadline_s)
+    return box[0] if box else None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("names", nargs="*", help="query names (default: all)")
@@ -175,13 +189,22 @@ def main(argv=None) -> int:
                     f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{path}')"
                 )
         failed = []
-        for name in names:
-            t0 = time.perf_counter()
+
+        def run(name):
             try:
-                ok, msg = check(name, qs[name], oracles.get(name),
-                                sf_dir, con)
+                return check(name, qs[name], oracles.get(name), sf_dir, con)
             except Exception:  # noqa: BLE001 — report and keep sweeping
-                ok, msg = False, traceback.format_exc().strip().splitlines()[-1]
+                return False, traceback.format_exc().strip().splitlines()[-1]
+
+        for i, name in enumerate(names):
+            t0 = time.perf_counter()
+            res = run_with_deadline(lambda: run(name), QUERY_DEADLINE_S)
+            if res is None:
+                print(f"FAIL {name} (timeout): running after {QUERY_DEADLINE_S}"
+                      f"s; not run: {names[i + 1:]}", flush=True)
+                failed.append(name)
+                break
+            ok, msg = res
             took = time.perf_counter() - t0
             print(f"{'ok  ' if ok else 'FAIL'} {name} ({took:.1f}s): {msg}",
                   flush=True)

@@ -38,6 +38,9 @@ class PipelineConfig:
     # 512 nearly doubled throughput at 32 CPUs). A read block larger than
     # the batch reaches one task as one bundle anyway, so LLM waits are
     # hidden by in-task overlap (llm_max_inflight), not a smaller batch.
+    # The batch also sets the size of the KG stage's embedding requests:
+    # one request per batch carries every mention the plan's cache lacks
+    # (up to 2048 per request, singledoc.EMBED_MAX_INPUTS).
     doc_batch_size: int = 512
     # LLM stages run as task maps over per-process state
     # (llm.client.stage_task_map); only the max (or an int) bounds tasks.
@@ -50,7 +53,14 @@ class PipelineConfig:
     # HTTP 16 (threads block on sockets), mock 1 (serial, reference parity:
     # llm_processor.py:911-974 loops documents serially). The total in
     # flight against a provider is concurrent tasks x this bound; set it
-    # explicitly to fit the provider's rate limit.
+    # explicitly to fit the provider's rate limit. A server's accept
+    # backlog caps it too: against perfbench's loopback stub (a
+    # ThreadingHTTPServer with socketserver's listen backlog of 5), 64 or
+    # 128 in flight made a 128-doc KG batch 2.5-3x slower than 16 (3.6-6.4
+    # s vs 1.7-1.8 s, 1-core host), as dropped SYNs wait out TCP's 1 s
+    # retransmit; with the stub's backlog raised to 128 the same batch took
+    # 0.5-0.7 s at 64/128 and 0.9 s at 16. The default stays 16; more
+    # overlap has to come from fewer requests.
     llm_max_inflight: int = 0
     # Stateless CPU stages (extraction, preprocess, explode).
     cpu_batch_size: int = 256

@@ -16,7 +16,8 @@ shaping is still implemented and unit-tested as pure functions so that a
 real HTTP provider can be plugged in by implementing ``LLMClient``.
 
 Retries are app-level (5 attempts, reference :140-160) and live INSIDE the
-stage's ``__call__`` so an API failure never poisons a Ray task.
+stage's ``__call__`` so an API failure never poisons a Ray task; a request
+the provider rejects (4xx other than 408/429) is not sent again.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ class LLMClient(Protocol):
         Per-TEXT counts (not one call total) so usage attribution is a
         pure function of each text: with the plan-lifetime embed cache,
         a document's metered embed tokens must not depend on which other
-        document warmed the cache first (or on thread interleaving when
-        more than one request is in flight) — a call-total can only be
-        attributed to whichever doc happened to trigger the call.
+        document warmed the cache first — and one KG call carries the
+        uncached mentions of a whole batch, so a call total could not
+        be attributed to its documents at all.
         """
         ...
 
@@ -164,13 +165,17 @@ def stage_task_map(ds, stage_cls, ctor_kwargs: dict, config: PipelineConfig,
 
 def call_with_retry(fn, max_attempts: int = 5, base_delay: float = 0.0):
     """App-level retry mirroring reference ctinexus/llm_processor.py:140-160
-    (re-raise after the final attempt). ``base_delay`` adds linear backoff,
-    which the reference lacks; pass 0 for exact parity."""
+    (re-raise after the final attempt). An exception whose ``retryable``
+    is false (``llm.http.HTTPStatusError`` for a 4xx other than 408/429)
+    is raised at once. ``base_delay`` adds linear backoff, which the
+    reference lacks; pass 0 for exact parity."""
     last_exc: Exception | None = None
     for attempt in range(max_attempts):
         try:
             return fn()
         except Exception as exc:  # noqa: BLE001 — API errors are data here
+            if not getattr(exc, "retryable", True):
+                raise
             last_exc = exc
             if base_delay and attempt < max_attempts - 1:
                 time.sleep(base_delay * (attempt + 1))

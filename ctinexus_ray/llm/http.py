@@ -13,7 +13,9 @@ wire behavior on the stdlib:
     temperature/top_p/response_format contract mirrored from the
     reference); retries stay APP-LEVEL in the calling stage via
     ``call_with_retry`` — the transport itself is single-attempt, exactly
-    like the reference's ``@with_retry`` around ``query_llm``.
+    like the reference's ``@with_retry`` around ``query_llm`` — except
+    that a 4xx other than 408/429 (``HTTPStatusError.retryable``) is
+    raised on the first attempt.
   * ``fetch_url`` — semantics of ``trafilatura.fetch_url``: returns the
     decoded HTML document for an http(s) URL, or ``None`` on any failure
     (bad scheme, network error, non-2xx, undecodable body). The caller
@@ -34,6 +36,11 @@ the provider is the number of concurrent tasks (the max of
 explicitly to fit a provider's rate limit. A read block larger than
 ``doc_batch_size`` reaches one task as one bundle, so it is this
 in-task overlap, not a smaller batch, that hides the waits.
+
+Requests per document: the KG stage sends IE, ET (when IE kept a
+triple) and LP completions per document, but one ``/embeddings``
+request per batch (``singledoc.process_documents``), carrying every
+mention of the batch that the plan's embedding cache lacks.
 """
 
 from __future__ import annotations
@@ -56,6 +63,12 @@ class HTTPStatusError(RuntimeError):
         super().__init__(f"HTTP {status}: {body[:200]}")
         self.status = status
         self.body = body
+
+    @property
+    def retryable(self) -> bool:
+        """A 4xx other than 408 (timeout) and 429 (rate limit) rejects the
+        request itself: sending it again gets the same answer."""
+        return not (400 <= self.status < 500) or self.status in (408, 429)
 
 
 def post_json(url: str, payload: dict, *, timeout: float = 60.0,
@@ -286,10 +299,11 @@ def _apportion_tokens(total: int, texts: list[str]) -> list[int]:
     """Deterministic largest-remainder split of a billed call-total
     into per-text counts, weighted by the length estimate ``len//4``
     (the reference's own fallback estimator). Exactly sums to
-    ``total``; remainder tokens go to the earliest texts. The split
-    can differ by ±1 token per text across different call
-    compositions — a metering estimate on the real-API path only (the
-    mock client counts per text exactly)."""
+    ``total``; remainder tokens go to the earliest texts. A KG call's
+    texts are the uncached mentions of a whole batch and the cache
+    keeps each text's first count, so a text's count can differ by ±1
+    token with the batch that first met it — a metering estimate on
+    the real-API path only (the mock client counts per text exactly)."""
     n = len(texts)
     if n == 0:
         return []

@@ -1,10 +1,19 @@
-"""Straight-line single-document IE -> ET -> EA -> LP runner.
+"""Straight-line IE -> ET -> EA -> LP runner over a batch of documents.
 
-This is the reference-semantics engine for ONE document (the reference
-processes exactly one report per invocation — ctinexus/utils/
-gradio_utils.py:89-150). The Ray stages call these same functions per row,
-so the distributed pipeline and this runner cannot drift apart; the P/R
-parity tests compare the two directly.
+``process_documents`` is the one KG runner. Reference semantics are
+those of ONE document (the reference processes exactly one report per
+invocation — ctinexus/utils/gradio_utils.py:89-150); a batch changes
+only how embedding requests are grouped, never a document's output:
+
+1. IE -> ET -> EA preprocess per document, through ``map_fn``;
+2. one ``client.embed`` call per ``EMBED_MAX_INPUTS`` distinct uncached
+   mention keys of the whole batch, filling ``embed_cache``;
+3. EA merge + LP per document, through ``map_fn``.
+
+``process_document`` is its one-element case, and ``run_ea`` runs the
+same EA helpers for one document. The Ray KG stage calls
+``process_documents`` per batch, so the distributed pipeline and this
+runner cannot drift apart; the P/R parity tests compare the two directly.
 
 Returns the reference-shaped nested result envelope
 (reference ctinexus/llm_processor.py:1119-1138, ctinexus/cti_processor.py:
@@ -123,50 +132,66 @@ def run_et(ie_triplets: list[dict], client: LLMClient, config: PipelineConfig) -
 # ---------------------------------------------------------------------------
 
 
-def run_ea(
-    typed_triplets: list[dict],
+# OpenAI's cap on inputs per /embeddings request
+EMBED_MAX_INPUTS = 2048
+
+
+def _serial_map(fn, items: list) -> list:
+    return [fn(x) for x in items]
+
+
+def _embed_key(text: str) -> str:
+    return text.casefold().strip()
+
+
+def _prepare_ea(typed_triplets: list[dict]) -> tuple:
+    """Preprocess: (aligned, mentions_num, dropped, mention_id -> text)."""
+    aligned, mentions_num, dropped = preprocess_doc(typed_triplets)
+    return aligned, mentions_num, dropped, collect_mention_texts(aligned)
+
+
+def _embed_missing(
+    mention_texts: list[dict[int, str]],
     client: LLMClient,
     config: PipelineConfig,
-    embed_cache: dict[str, tuple[list[float], int]] | None = None,
-) -> dict:
-    """Preprocess + embedding merge + IOC unmerge
-    (reference ctinexus/cti_processor.py + ctinexus/graph_constructor.py:246-441).
-
-    ``embed_cache`` (normalized mention text -> (vector, token_count))
-    is plan-lifetime state in the Ray stage — head mentions repeat
-    across documents, so the cache turns the dominant embedding cost
-    into a lookup. Metering charges EVERY document for its own mention
-    texts, cache hit or not (the reference runs one document per
-    process with no cross-doc cache, so its per-doc usage equals this
-    full-text accounting): the per-doc usage columns are a pure
-    function of the document — independent of batch composition, batch
-    order, and thread interleaving under ``llm_max_inflight`` > 1.
-    """
-    aligned, mentions_num, pre_dropped = preprocess_doc(typed_triplets)
-
-    mention_texts = collect_mention_texts(aligned)
-    embeddings: dict[int, list[float]] = {}
-    to_embed: list[tuple[int, str]] = []
-    cache = embed_cache if embed_cache is not None else {}
-    embed_tokens = 0
-    for m_id, text in mention_texts.items():
-        key = text.casefold().strip()
-        if key in cache:
-            vec, tok = cache[key]
-            embeddings[m_id] = vec
-            embed_tokens += tok
-        else:
-            to_embed.append((m_id, text))
-    if to_embed:
+    cache: dict[str, tuple[list[float], int]],
+) -> None:
+    """Embed every mention key of the documents that ``cache`` lacks,
+    first-seen text per key, in requests of at most ``EMBED_MAX_INPUTS``
+    texts (each under its own ``call_with_retry``), and cache the
+    (vector, token_count) pairs."""
+    missing: dict[str, str] = {}
+    for texts in mention_texts:
+        for text in texts.values():
+            key = _embed_key(text)
+            if key not in cache:
+                missing.setdefault(key, text)
+    keys = list(missing)
+    for start in range(0, len(keys), EMBED_MAX_INPUTS):
+        chunk = keys[start:start + EMBED_MAX_INPUTS]
         vectors, counts = call_with_retry(
-            lambda: client.embed([t for _, t in to_embed]),
+            lambda: client.embed([missing[k] for k in chunk]),
             max_attempts=config.max_retries,
         )
-        for (m_id, text), vec, tok in zip(to_embed, vectors, counts):
-            embeddings[m_id] = vec
-            embed_tokens += tok
-            cache[text.casefold().strip()] = (vec, tok)
+        cache.update(zip(chunk, zip(vectors, counts)))
 
+
+def _finish_ea(prepared: tuple, config: PipelineConfig,
+               cache: dict[str, tuple[list[float], int]]) -> dict:
+    """Embedding merge + IOC unmerge over cached vectors. Metering
+    charges the document for every one of its mention texts, cache hit
+    or not (the reference runs one document per process with no
+    cross-doc cache, so its per-doc usage equals this full-text
+    accounting): the usage columns are a pure function of the document,
+    whatever the batch, its order or the thread interleaving, as long as
+    texts sharing a key share a count (a key keeps the count of the first
+    text embedded under it)."""
+    aligned, mentions_num, pre_dropped, mention_texts = prepared
+    embeddings: dict[int, list[float]] = {}
+    embed_tokens = 0
+    for m_id, text in mention_texts.items():
+        embeddings[m_id], tok = cache[_embed_key(text)]
+        embed_tokens += tok
     merged, entity_num, merge_dropped = merge_doc(
         aligned, embeddings, config.similarity_threshold
     )
@@ -178,6 +203,24 @@ def run_ea(
         "dropped": pre_dropped + merge_dropped,
         "model_usage": calculate_usage(config.embedding_model, embed_tokens, 0),
     }
+
+
+def run_ea(
+    typed_triplets: list[dict],
+    client: LLMClient,
+    config: PipelineConfig,
+    embed_cache: dict[str, tuple[list[float], int]] | None = None,
+) -> dict:
+    """Preprocess + embedding merge + IOC unmerge for one document
+    (reference ctinexus/cti_processor.py + ctinexus/graph_constructor.py:246-441).
+
+    ``embed_cache`` maps a normalized mention text (casefolded,
+    stripped) to (vector, token_count); mentions it already holds are
+    not sent again."""
+    cache = embed_cache if embed_cache is not None else {}
+    prepared = _prepare_ea(typed_triplets)
+    _embed_missing([prepared[3]], client, config, cache)
+    return _finish_ea(prepared, config, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +309,41 @@ def run_lp(
 # ---------------------------------------------------------------------------
 
 
+def process_documents(
+    texts: list[str],
+    client: LLMClient,
+    config: PipelineConfig,
+    demos: list[dict],
+    embed_cache: dict[str, tuple[list[float], int]] | None = None,
+    ie_prefix: str | None = None,
+    map_fn=_serial_map,
+) -> list[dict]:
+    """Run a batch of documents through all four stages; one
+    reference-shaped envelope per document, in input order.
+
+    ``map_fn(fn, items)`` is an order-preserving map for the per-document
+    phases (the KG stage passes its ``InflightPool.map``; serial by
+    default). All embedding requests are made between the two phases,
+    so no two documents ever request the same mention."""
+    cache = embed_cache if embed_cache is not None else {}
+
+    def extract(text: str) -> tuple:
+        ie = run_ie(text, client, config, demos, ie_prefix=ie_prefix)
+        et = run_et(ie["triplets"], client, config)
+        return text, ie, et, _prepare_ea(et["typed_triplets"])
+
+    fronts = map_fn(extract, texts)
+    _embed_missing([prepared[3] for *_, prepared in fronts], client, config, cache)
+
+    def finish(front: tuple) -> dict:
+        text, ie, et, prepared = front
+        ea = _finish_ea(prepared, config, cache)
+        lp = run_lp(text, ea["aligned_triplets"], client, config)
+        return {"text": text, "IE": ie, "ET": et, "EA": ea, "LP": lp}
+
+    return map_fn(finish, fronts)
+
+
 def process_document(
     text: str,
     client: LLMClient,
@@ -275,11 +353,7 @@ def process_document(
     ie_prefix: str | None = None,
 ) -> dict:
     """Run one document through all four stages; reference-shaped envelope."""
-    ie = run_ie(text, client, config, demos, ie_prefix=ie_prefix)
-    et = run_et(ie["triplets"], client, config)
-    ea = run_ea(et["typed_triplets"], client, config, embed_cache)
-    lp = run_lp(text, ea["aligned_triplets"], client, config)
-    return {"text": text, "IE": ie, "ET": et, "EA": ea, "LP": lp}
+    return process_documents([text], client, config, demos, embed_cache, ie_prefix)[0]
 
 
 def empty_lp(config: PipelineConfig) -> dict:

@@ -94,7 +94,8 @@ def merge_doc(
     """Within-document mention clustering.
 
     ``embeddings`` maps mention_id -> vector (computed by the caller; the
-    Ray stage batches + caches embedding calls per actor). Mutates nodes in
+    KG runner embeds a batch's uncached mentions in one call and caches
+    them per plan). Mutates nodes in
     place like the reference Merger (ctinexus/graph_constructor.py:321-441)
     and returns (aligned_triplets, entity_num, dropped_count).
     """

@@ -1,11 +1,12 @@
 """The fused KG stage (M1-M3, IE/ET/EA/LP) over Arrow batches.
 
-``KGDocStage`` runs IE -> ET -> EA -> LP per document in one task map.
-With per-document LLM semantics and no shuffle between the four stages,
-fusing removes three rounds of batch (de)serialization; stage state
-(client, demo list, embedding cache, rendered prompt prefix) is built
-once in ``__init__``. Documents of a batch overlap their LLM waits up
-to the client's in-flight bound (``llm.client.InflightPool``).
+``KGDocStage`` hands each batch to ``singledoc.process_documents``, the
+one KG runner (a single document is its one-element case): IE -> ET per
+document, one embedding request per batch for the mentions the stage's
+cache lacks, then EA merge + LP per document. Documents overlap their
+LLM waits up to the client's in-flight bound (``llm.client.InflightPool``).
+Stage state (client, demo list, embedding cache, rendered prompt prefix)
+is built once in ``__init__``.
 
 ``pipelines/kg.run_kg_stage`` maps it as Ray Data tasks through
 ``llm.client.stage_task_map``: each worker process builds one
@@ -36,7 +37,7 @@ def _i64(values) -> pa.Array:
 
 
 class KGDocStage:
-    """Fused IE->ET->EA->LP per document (the flagship stage); client +
+    """Fused IE->ET->EA->LP over each batch (the flagship stage); client +
     config built once per worker process per plan."""
 
     def __init__(self, config: PipelineConfig, demos: list[dict] | None = None):
@@ -53,25 +54,11 @@ class KGDocStage:
         self.embed_cache: dict[str, tuple[list[float], int]] = {}
         self.inflight = InflightPool(config, self.client)
 
-    def _map_docs(self, items: list, fn) -> list:
-        """Run ``fn`` over the batch's documents with at most
-        ``self.inflight.bound`` LLM requests in flight (order-preserving).
-        Serial at bound 1 — exact reference parity, and the mock's
-        default. The embed cache is shared across threads; the worst race
-        is recomputing one deterministic (vector, token_count) pair
-        twice (dict get/set are GIL-atomic), never a wrong result —
-        per-doc embed metering charges each document for its own texts
-        (run_ea), so cache state cannot leak into outputs."""
-        return self.inflight.map(fn, items)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column("cti_text").to_pylist()
-        envelopes = self._map_docs(
-            texts,
-            lambda text: singledoc.process_document(
-                text, self.client, self.config, self.demos, self.embed_cache,
-                ie_prefix=self.ie_prefix,
-            ),
+        envelopes = singledoc.process_documents(
+            texts, self.client, self.config, self.demos, self.embed_cache,
+            self.ie_prefix, self.inflight.map,
         )
         out = batch
         out = out.append_column(

@@ -36,6 +36,8 @@ _PAGE = (
 class _Handler(http.server.BaseHTTPRequestHandler):
     server_version = "stub/1.0"
     flaky_remaining = 0  # class-level: set by tests
+    flaky_status = 500
+    chat_posts = 0
 
     def log_message(self, *a):  # silence
         pass
@@ -64,9 +66,10 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         type(self).last_request = payload
         type(self).last_auth = self.headers.get("Authorization")
         if self.path.endswith("/chat/completions"):
+            type(self).chat_posts += 1
             if type(self).flaky_remaining > 0:
                 type(self).flaky_remaining -= 1
-                self._send(500, b'{"error": "overloaded"}')
+                self._send(type(self).flaky_status, b'{"error": "overloaded"}')
                 return
             prompt = payload["messages"][-1]["content"]
             content = json.dumps({"echo_len": len(prompt),
@@ -184,6 +187,32 @@ class TestHTTPLLMClient:
         with pytest.raises(HTTPStatusError):
             call_with_retry(lambda: client.complete("p"), max_attempts=3)
         _Handler.flaky_remaining = 0
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+    def test_rejected_request_is_sent_once(self, server, status):
+        """A 4xx other than 408/429 rejects the request itself: no retry."""
+        client = HTTPLLMClient(server)
+        _Handler.flaky_status, _Handler.flaky_remaining = status, 99
+        _Handler.chat_posts = 0
+        try:
+            with pytest.raises(HTTPStatusError) as exc:
+                call_with_retry(lambda: client.complete("p"), max_attempts=5)
+        finally:
+            _Handler.flaky_status, _Handler.flaky_remaining = 500, 0
+        assert exc.value.status == status
+        assert _Handler.chat_posts == 1
+
+    @pytest.mark.parametrize("status", [408, 429, 503])
+    def test_transient_status_is_retried(self, server, status):
+        client = HTTPLLMClient(server)
+        _Handler.flaky_status, _Handler.flaky_remaining = status, 2
+        _Handler.chat_posts = 0
+        try:
+            text, _, _ = call_with_retry(lambda: client.complete("p"), max_attempts=5)
+        finally:
+            _Handler.flaky_status, _Handler.flaky_remaining = 500, 0
+        assert json.loads(text)["echo_len"] == 1
+        assert _Handler.chat_posts == 3
 
 
 class TestGetClientHTTP:
@@ -398,12 +427,14 @@ class TestNativeWireTransports:
 class _MockReplyHandler(http.server.BaseHTTPRequestHandler):
     """OpenAI-compatible endpoint answering with ``MockLLM`` replies (and
     the mock's own token counts) after a short sleep; records the peak
-    number of requests being served at once."""
+    number of requests being served at once and counts ``/embeddings``
+    requests."""
 
     delay_s = 0.02
     lock = threading.Lock()
     now = 0
     peak = 0
+    embed_posts = 0
 
     def log_message(self, *a):  # silence
         pass
@@ -411,7 +442,7 @@ class _MockReplyHandler(http.server.BaseHTTPRequestHandler):
     @classmethod
     def reset(cls):
         with cls.lock:
-            cls.now = cls.peak = 0
+            cls.now = cls.peak = cls.embed_posts = 0
 
     def do_POST(self):
         from ctinexus_ray.llm.mock import MockLLM
@@ -420,6 +451,7 @@ class _MockReplyHandler(http.server.BaseHTTPRequestHandler):
         with cls.lock:
             cls.now += 1
             cls.peak = max(cls.peak, cls.now)
+            cls.embed_posts += self.path.endswith("/embeddings")
         try:
             length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length).decode())
@@ -554,8 +586,9 @@ class TestKGBuildOverHTTP:
         self, ray_session, mock_reply_server, tmp_path
     ):
         """A whole ``run_kg_to_parquet`` over the loopback gateway, three
-        batches through the KG task map and no actor pool, writes the
-        docs_kg rows of the in-process mock build."""
+        batches through the KG task map and no actor pool, sends at most
+        one embedding request per batch and writes the docs_kg rows of
+        the in-process mock build."""
         import ray.data
         from ray._private import state
 
@@ -579,6 +612,7 @@ class TestKGBuildOverHTTP:
         _MockReplyHandler.reset()
         got = build("openai", "http")
         assert _MockReplyHandler.peak >= 1
+        assert 1 <= _MockReplyHandler.embed_posts <= 3
         assert not [
             a for a, info in state.actors().items()
             if a not in actors_before and "MapWorker" in info["ActorClassName"]

@@ -150,7 +150,7 @@ class TestBoundedInflight:
                 state["now"] -= 1
             return x * 2
 
-        out = stage._map_docs(list(range(12)), fake_llm_call)
+        out = stage.inflight.map(fake_llm_call, list(range(12)))
         assert out == [x * 2 for x in range(12)]  # order preserved
         assert 2 <= state["peak"] <= 3  # overlapped, but bounded
 
@@ -216,6 +216,107 @@ class TestEmbedMeteringDeterminism:
         serial = KGDocStage(PipelineConfig(llm_max_inflight=1))(batch)
         threaded = KGDocStage(PipelineConfig(llm_max_inflight=12))(batch)
         assert serial.to_pydict() == threaded.to_pydict()
+
+
+class _CountingMock(MockLLM):
+    """MockLLM that counts its ``embed`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.embed_calls = 0
+
+    def embed(self, texts):
+        self.embed_calls += 1
+        return super().embed(texts)
+
+
+def _shared_heads_batch(n: int = 24):
+    """``n`` docs whose head entities (actors, malware, domains) repeat
+    across documents; some docs also mention an IP of their own."""
+    import pyarrow as pa
+
+    actors = ["APT29", "Lazarus Group", "FIN7"]
+    malware = ["Emotet", "Mimikatz", "AppleJeus", "Cobalt Strike"]
+    texts = [
+        f"{actors[i % 3]} deployed {malware[i % 4]} against finance targets "
+        f"from 10.0.{i}.5 and exfiltrated data to evil{i % 2}.example.com."
+        for i in range(n)
+    ]
+    return pa.Table.from_pydict({
+        "url": [f"https://cti.example/{i:02d}" for i in range(n)],
+        "cti_text": texts,
+    })
+
+
+def _rows_by_url(table) -> dict:
+    from ctinexus_ray.pipelines.kg import KG_DOC_COLUMNS
+
+    return {r["url"]: r for r in table.select(KG_DOC_COLUMNS).to_pylist()}
+
+
+class TestBatchEmbedding:
+    """The KG stage embeds a batch's uncached mentions in one request,
+    and no row depends on the batch it ran in."""
+
+    def _stage(self, demos):
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.stages.kg import KGDocStage
+
+        stage = KGDocStage(PipelineConfig(), demos)
+        stage.client = _CountingMock()
+        return stage
+
+    def test_one_embed_call_per_batch(self, demos):
+        batch = _shared_heads_batch()
+        stage = self._stage(demos)
+        stage(batch)
+        assert stage.client.embed_calls == 1
+        stage(batch)  # every mention is cached now
+        assert stage.client.embed_calls == 1
+        split = self._stage(demos)
+        for start in range(0, 24, 8):
+            split(batch.slice(start, 8))
+        assert split.client.embed_calls == 3
+
+    def test_rows_independent_of_batching(self, demos):
+        import json
+
+        import pyarrow as pa
+
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.pipelines import singledoc
+
+        batch = _shared_heads_batch()
+        whole = _rows_by_url(self._stage(demos)(batch))
+        split_stage = self._stage(demos)
+        split = _rows_by_url(pa.concat_tables(
+            split_stage(batch.slice(start, 8)) for start in range(0, 24, 8)
+        ))
+        reversed_rows = _rows_by_url(
+            self._stage(demos)(batch.take(list(range(23, -1, -1))))
+        )
+        assert whole == split == reversed_rows
+        assert sum(r["embed_tokens"] for r in whole.values()) > 0
+
+        config = PipelineConfig()
+        for url, text in zip(batch.column("url").to_pylist(),
+                             batch.column("cti_text").to_pylist()):
+            env = singledoc.process_document(text, MockLLM(), config, demos, {})
+            usage = [env[s]["model_usage"] for s in ("IE", "ET", "LP")]
+            assert whole[url] == {
+                "url": url,
+                "kg_aligned_json": json.dumps(env["EA"]["aligned_triplets"]),
+                "kg_links_json": json.dumps(env["LP"]["predicted_links"]),
+                "triples_count": env["IE"]["triples_count"],
+                "mentions_num": env["EA"]["mentions_num"],
+                "entity_num": env["EA"]["entity_num"],
+                "subgraph_num": env["LP"]["subgraph_num"],
+                "dropped_triplets": sum(
+                    env[s]["dropped"] for s in ("IE", "ET", "EA", "LP")),
+                "llm_input_tokens": sum(u["input"]["tokens"] for u in usage),
+                "llm_output_tokens": sum(u["output"]["tokens"] for u in usage),
+                "embed_tokens": env["EA"]["model_usage"]["input"]["tokens"],
+            }
 
 
 class TestClientInflightBound:

@@ -3,9 +3,13 @@
     read_parquet(documents)                    # S1, column-pruned
       -> map_batches(extract_batch)            # E0-E3, stateless, drops html
       -> map_batches(KGDocStage, concurrency)  # IE+ET+EA+LP fused task map
-      -> map_batches(explode_triples_batch)    # nested -> flat triples
-      -> [entity partials -> partitioned_agg(entity_key) -> nodes]  # THE wide shuffle
-      -> write_parquet(triples/nodes/edges)
+      -> write_parquet(docs_kg)                # the checkpoint
+    read_parquet(docs_kg)                      # ONE derive execution
+      -> map_batches(derive)                   # explode -> edges; both written
+                                               # task-side; entity partials out
+      -> partitioned_agg(entity_key)           # THE wide shuffle
+      -> write_parquet(nodes)
+    docs_kg counters -> one streaming Arrow scan -> metrics (one row)
 
 Everything streams; nothing materializes the corpus. The only all-to-all
 exchange is the canonicalization reduce, fed by map-side-combined partials
@@ -14,7 +18,10 @@ exchange is the canonicalization reduce, fed by map-side-combined partials
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
 
 from ctinexus_ray.config import PipelineConfig
@@ -112,13 +119,19 @@ def canonicalize_node_partials(
         class (pre-encoded in ``class_rank`` so a plain Max suffices)
       * doc_count / mention_count = exact Sums of the batch partials
     """
-    from ctinexus_ray.ops.groupagg import partitioned_agg
-
-    partials = docs_kg_ds.map_batches(
+    return reduce_entity_partials(docs_kg_ds.map_batches(
         entity_partials_batch,
         batch_format="pyarrow",
         batch_size=config.cpu_batch_size,
-    )
+    ), config)
+
+
+def reduce_entity_partials(
+    partials: ray.data.Dataset, config: PipelineConfig
+) -> ray.data.Dataset:
+    """The canonicalization reduce over ``entity_partials_batch`` rows."""
+    from ctinexus_ray.ops.groupagg import partitioned_agg
+
     return partitioned_agg(
         partials,
         ["entity_key"],
@@ -180,32 +193,28 @@ METRIC_SOURCES = {
     "llm_output_tokens": "llm_output_tokens", "embed_tokens": "embed_tokens",
 }
 METRIC_COLUMNS = ["docs", *METRIC_SOURCES]
+METRICS_SCHEMA = pa.schema(
+    [("stage", pa.string()), *((c, pa.int64()) for c in METRIC_COLUMNS)]
+)
 
 
-def metrics_dataset(kg_ds: ray.data.Dataset) -> ray.data.Dataset:
-    """Corpus-level stage metrics (A2/A3): one ``stage="kg"`` row of
-    token totals + doc/triple/entity counters (no row for an empty
-    ``kg_ds``). Each batch sums to one row; ``repartition(1)`` gathers
-    those rows into one block and one Arrow sum map totals them, so the
-    one-row result needs no sort shuffle. Only the ``METRIC_SOURCES``
-    columns are read: callers prune to them."""
+def metrics_total(source: str | list[str]) -> pa.Table:
+    """Corpus-level stage metrics (A2/A3) of the docs_kg parquet at
+    ``source`` (a directory or a list of files): one ``stage="kg"`` row
+    of token totals + doc/triple/entity counters, or no row when there is
+    no document. One streaming scan of the ``METRIC_SOURCES`` columns in
+    constant memory; the kg json payloads are never read."""
     import pyarrow.compute as pc
+    import pyarrow.dataset as pads
 
-    def sums(batch: pa.Table, cols) -> dict:  # cols: (out, in) pairs
-        return {"stage": ["kg"], **{
-            out: [pc.sum(batch.column(col)).as_py() or 0] for out, col in cols}}
-
-    def to_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({**sums(batch, METRIC_SOURCES.items()), "docs": [batch.num_rows]})
-
-    def total(batch: pa.Table) -> pa.Table:
-        return pa.table(sums(batch, [(c, c) for c in METRIC_COLUMNS]))
-
-    return (
-        kg_ds.map_batches(to_rows, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(total, batch_format="pyarrow", batch_size=None)
-    )
+    counters = pa.schema([(c, pa.int64()) for c in METRIC_SOURCES.values()])
+    totals = dict.fromkeys(METRIC_COLUMNS, 0)
+    for batch in pads.dataset(source, schema=counters, format="parquet").to_batches():
+        totals["docs"] += batch.num_rows
+        for out, col in METRIC_SOURCES.items():
+            totals[out] += pc.sum(batch.column(col)).as_py() or 0
+    rows = [{"stage": "kg", **totals}] if totals["docs"] else []
+    return pa.Table.from_pylist(rows, schema=METRICS_SCHEMA)
 
 
 def run_kg_to_parquet(
@@ -228,96 +237,72 @@ def run_kg_to_parquet(
 
     docs_kg_path = str(out / "docs_kg")
     kg.select_columns(KG_DOC_COLUMNS).write_parquet(docs_kg_path)
+    os.makedirs(docs_kg_path, exist_ok=True)  # Ray writes none for no rows
 
     paths = _write_derived_outputs(docs_kg_path, out, config)
     return {"docs_kg": docs_kg_path, **paths}
 
 
-def _settle_fsspec_http_import() -> None:
-    """Ray's path resolution probes ``fsspec.implementations.http`` on
-    every read/write. In this environment that import always fails
-    (aiohttp absent) and therefore never lands in ``sys.modules`` — so
-    two driver threads resolving paths concurrently race inside the
-    import machinery and one sees a half-initialized module (plain
-    ImportError, which Ray does NOT catch, vs the ModuleNotFoundError it
-    does). Seed a sentinel module once, single-threaded: the class is
-    never instantiated here (no http filesystems in this engine), it only
-    makes ``isinstance`` checks answer False deterministically."""
-    import sys as _sys
-    import types as _types
-
-    try:
-        import fsspec.implementations.http  # noqa: F401
-    except ImportError:
-        mod = _types.ModuleType("fsspec.implementations.http")
-
-        class HTTPFileSystem:  # sentinel only
-            pass
-
-        mod.HTTPFileSystem = HTTPFileSystem
-        _sys.modules["fsspec.implementations.http"] = mod
+def derive_batch(
+    batch: pa.Table, triples_dir: str, edges_dir: str,
+    token: str, task_idx: int, ordinal: int,
+) -> pa.Table:
+    """One docs_kg batch of the derive pass: explode its triples once,
+    map them to edges, write both as ``<token>_<task>_<ordinal>.parquet``
+    under ``triples_dir`` / ``edges_dir`` (nothing for a batch with no
+    triple), and return the batch's entity partials for the
+    canonicalization reduce."""
+    triples = explode_triples_batch(batch)
+    if triples.num_rows:
+        name = f"{token}_{task_idx:06d}_{ordinal:06d}.parquet"
+        pq.write_table(triples, os.path.join(triples_dir, name))
+        pq.write_table(edges_batch(triples), os.path.join(edges_dir, name))
+    return entity_partials_batch(batch)
 
 
 def _write_derived_outputs(docs_kg_path: str, out, config: PipelineConfig) -> dict[str, str]:
     """Derive triples / nodes / edges / metrics from the docs_kg
-    checkpoint CONCURRENTLY (each in its own driver thread with its own
-    read of the checkpoint — the four pipelines are independent, and
-    running them serially pays 4× the fixed per-execution latency).
-    Edges re-run the cheap explode map instead of waiting on the written
-    triples table."""
-    import concurrent.futures as cf
-    from pathlib import Path
+    checkpoint in ONE Ray Data execution: one read of the checkpoint,
+    one derive map (``derive_batch``) whose tasks write the triples and
+    edges files themselves and hand the entity partials on to the
+    canonicalization reduce and the nodes write. Metrics come from one
+    streaming scan of the counter columns (``metrics_total``).
 
-    _settle_fsspec_http_import()
-    triples_path = str(out / "triples")
-    nodes_path = str(out / "nodes")
-    edges_path = str(out / "edges")
-    metrics_path = str(out / "metrics")
+    Task-side file names are ``<plan token>_<task index>_<batch
+    ordinal>``: a retried task re-runs the same input batches in the
+    same order under the same task index, so it overwrites its earlier
+    attempt's files instead of adding rows. (The ordinal counts batches
+    in the task's own ``TaskContext``, which every attempt gets anew.)
+    Urls are not part of the name: duplicate input urls would collide.
 
-    def _read():
-        return ray.data.read_parquet(docs_kg_path)
+    An empty corpus leaves every output directory empty (no metrics
+    row, as ``metrics_total`` has none)."""
+    import uuid
 
-    def _explode(ds):
-        return ds.map_batches(
-            explode_triples_batch,
-            batch_format="pyarrow",
-            batch_size=config.cpu_batch_size,
-        )
+    from ray.data._internal.execution.interfaces.task_context import TaskContext
 
-    # build the (lazy) plans serially on the main thread — concurrent
-    # read_parquet calls race on fsspec's lazy imports; only the
-    # write_parquet EXECUTIONS run in the pool
-    plans = {
-        "triples": (_explode(_read()), triples_path),
-        "nodes": (canonicalize_nodes(_read(), config), nodes_path),
-        "edges": (edges_dataset(_explode(_read()), config), edges_path),
-        "metrics": (metrics_dataset(ray.data.read_parquet(
-            docs_kg_path, columns=list(METRIC_SOURCES.values()))), metrics_path),
-    }
-    jobs = {
-        name: (lambda ds=ds, path=path: ds.write_parquet(path))
-        for name, (ds, path) in plans.items()
-    }
-    # Concurrency across executions overlaps their fixed per-execution
-    # latency (~1s each) — a win only while the checkpoint is small.
-    # Once the corpus is large each derivation saturates the cluster on
-    # its own and running them concurrently just contends for CPU and
-    # object-store memory (measured 28% slower at 400k docs), so fall
-    # back to serial above a size threshold.
-    ckpt_bytes = sum(
-        f.stat().st_size for f in Path(docs_kg_path).glob("**/*") if f.is_file()
-    )
-    workers = 4 if ckpt_bytes < 64 * 1024 * 1024 else 1
-    with cf.ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = {name: ex.submit(fn) for name, fn in jobs.items()}
-        for name, fut in futures.items():
-            fut.result()  # propagate the first failure
-    return {
-        "triples": triples_path,
-        "nodes": nodes_path,
-        "edges": edges_path,
-        "metrics": metrics_path,
-    }
+    paths = {name: str(out / name) for name in ("triples", "nodes", "edges", "metrics")}
+    for path in paths.values():
+        os.makedirs(path, exist_ok=True)
+    total = metrics_total(docs_kg_path)
+    if not total.num_rows:
+        return paths
+    token = uuid.uuid4().hex
+    pq.write_table(total, os.path.join(paths["metrics"], f"{token}.parquet"))
+
+    def derive(batch: pa.Table) -> pa.Table:
+        ctx = TaskContext.get_current()
+        ordinal = ctx.kwargs[token] = ctx.kwargs.get(token, -1) + 1
+        return derive_batch(batch, paths["triples"], paths["edges"],
+                            token, ctx.task_idx, ordinal)
+
+    partials = ray.data.read_parquet(
+        docs_kg_path, columns=["url", "kg_aligned_json", "kg_links_json"]
+    ).map_batches(derive, batch_format="pyarrow", batch_size=config.cpu_batch_size)
+    reduce_entity_partials(partials, config).map_batches(
+        strip_class_rank_batch, batch_format="pyarrow"
+    ).write_parquet(paths["nodes"])
+    return paths
 
 
 def checkpoint_docs_kg(

@@ -2,7 +2,8 @@
 edges / metrics) — IVM for the cross-document canonicalization.
 
 Re-deriving every output from the FULL ``docs_kg`` checkpoint on each
-run (``kg._write_derived_outputs``) is idempotent, but the
+run (``kg._write_derived_outputs``: one derive execution plus one
+counter scan) is idempotent, but the
 canonicalization re-shuffle is O(corpus) per ingestion tick — the wrong
 shape at 10^12 docs where a tick adds a few shards to thousands. The
 entity aggregates are exactly the monoid forms ``state/ivm.py`` folds
@@ -55,9 +56,8 @@ import ray.data
 from ctinexus_ray.config import PipelineConfig
 from ctinexus_ray.pipelines.kg import (
     METRIC_COLUMNS,
-    METRIC_SOURCES,
     canonicalize_node_partials,
-    metrics_dataset,
+    metrics_total,
     strip_class_rank_batch,
 )
 from ctinexus_ray.stages.triples import edges_batch, explode_triples_batch
@@ -132,21 +132,11 @@ def _fold_metrics(
     if not todo:
         return 0
 
-    def with_stage_key(batch: pa.Table) -> pa.Table:
-        keys = hash64_strings(
-            batch.column("stage").to_pylist()
-        ).astype(np.int64)
-        return batch.append_column(
-            "stage_key", pa.array(keys, type=pa.int64())
-        )
-
-    # prune to the counter columns — the shards' kg json payloads are
-    # the bulk of their bytes and the metrics fold never reads them
-    delta = metrics_dataset(
-        ray.data.read_parquet(
-            [f for _, f in todo], columns=list(METRIC_SOURCES.values())
-        )
-    ).map_batches(with_stage_key, batch_format="pyarrow")
+    total = metrics_total([f for _, f in todo])
+    keys = hash64_strings(total.column("stage").to_pylist()).astype(np.int64)
+    delta = ray.data.from_arrow(
+        total.append_column("stage_key", pa.array(keys, type=pa.int64()))
+    )
     apply_delta(
         view_dir,
         delta,
@@ -188,6 +178,31 @@ def _append_shard_map(
     return len(todo)
 
 
+def _settle_fsspec_http_import() -> None:
+    """Ray's path resolution probes ``fsspec.implementations.http`` on
+    every read/write. In this environment that import always fails
+    (aiohttp absent) and therefore never lands in ``sys.modules`` — so
+    two driver threads resolving paths concurrently race inside the
+    import machinery and one sees a half-initialized module (plain
+    ImportError, which Ray does NOT catch, vs the ModuleNotFoundError it
+    does). Seed a sentinel module once, single-threaded: the class is
+    never instantiated here (no http filesystems in this engine), it only
+    makes ``isinstance`` checks answer False deterministically."""
+    import sys as _sys
+    import types as _types
+
+    try:
+        import fsspec.implementations.http  # noqa: F401
+    except ImportError:
+        mod = _types.ModuleType("fsspec.implementations.http")
+
+        class HTTPFileSystem:  # sentinel only
+            pass
+
+        mod.HTTPFileSystem = HTTPFileSystem
+        _sys.modules["fsspec.implementations.http"] = mod
+
+
 def fold_kg_derived(
     out_dir: str, config: PipelineConfig | None = None
 ) -> dict:
@@ -212,10 +227,8 @@ def fold_kg_derived(
     # the four folds touch DISJOINT tables and are independent — run
     # them in driver threads so each tick pays max(fold) wall, not the
     # sum of four fixed per-execution latencies (plans are built inside
-    # each fold; the fsspec import race is settled first, see kg.py)
+    # each fold; the fsspec import race is settled first)
     import concurrent.futures as cf
-
-    from ctinexus_ray.pipelines.kg import _settle_fsspec_http_import
 
     _settle_fsspec_http_import()
     with cf.ThreadPoolExecutor(max_workers=4) as ex:

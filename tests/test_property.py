@@ -283,7 +283,7 @@ class TestPartitionedAgg:
                     assert same(got[key][name], want), (key, name)
 
 
-class TestMetricsDataset:
+class TestMetricsTotal:
     COUNTERS = ["triples_count", "mentions_num", "entity_num", "subgraph_num",
                 "dropped_triplets", "llm_input_tokens", "llm_output_tokens",
                 "embed_tokens"]
@@ -294,25 +294,25 @@ class TestMetricsDataset:
         return pa.table({c: pa.array([i + j + off for i in range(n)], pa.int64())
                          for j, c in enumerate(self.COUNTERS)})
 
-    def test_empty_docs_kg_has_no_row(self, ray_session):
-        import ray.data
+    def test_empty_docs_kg_has_no_row(self, tmp_path):
+        import pyarrow.parquet as pq
 
-        from ctinexus_ray.pipelines.kg import metrics_dataset
+        from ctinexus_ray.pipelines.kg import metrics_total
 
-        assert metrics_dataset(ray.data.from_arrow(self._docs_kg(0, 0))).take_all() == []
+        pq.write_table(self._docs_kg(0, 0), tmp_path / "part-0.parquet")
+        assert metrics_total(str(tmp_path)).to_pylist() == []
 
-    def test_multi_block_totals_one_row(self, ray_session):
+    def test_multi_file_totals_one_row(self, tmp_path):
         import pyarrow as pa
-        import ray.data
+        import pyarrow.parquet as pq
 
-        from ctinexus_ray.pipelines.kg import metrics_dataset
+        from ctinexus_ray.pipelines.kg import metrics_total
 
         blocks = [self._docs_kg(3, 0), self._docs_kg(5, 10),
                   self._docs_kg(0, 0), self._docs_kg(7, 100)]
-        out = pa.concat_tables(
-            t for t in ray.get(metrics_dataset(ray.data.from_arrow(blocks))
-                               .to_arrow_refs()) if t.num_rows
-        )
+        for i, block in enumerate(blocks):
+            pq.write_table(block, tmp_path / f"part-{i}.parquet")
+        out = metrics_total(str(tmp_path))
         names = ["stage", "docs", "triples", "mentions", "entities", "subgraphs",
                  "dropped_triplets", "llm_input_tokens", "llm_output_tokens",
                  "embed_tokens"]

@@ -111,6 +111,127 @@ class TestHallucinationSentinel:
         assert all(r["subj_text"] == "hallucination" for r in sentinels)
 
 
+def _sorted_frame(table: pa.Table):
+    """``table`` as a pandas frame sorted by every column (list values as
+    tuples, which sort)."""
+    df = table.to_pandas()
+    for name in df.columns:
+        if pa.types.is_list(table.schema.field(name).type):
+            df[name] = df[name].map(tuple)
+    cols = sorted(df.columns)
+    return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+def _rows_under(path) -> int:
+    import os
+
+    import pyarrow.parquet as pq
+
+    return sum(pq.ParquetFile(os.path.join(d, f)).metadata.num_rows
+               for d, _, fs in os.walk(path) for f in fs if f.endswith(".parquet"))
+
+
+class TestRunKgToParquet:
+    """The four tables ``run_kg_to_parquet`` derives from its docs_kg
+    checkpoint."""
+
+    def test_derived_outputs_equal_the_per_table_plans(self, ray_session, tmp_path):
+        import os
+
+        import pandas as pd
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        from ctinexus_ray.config import PipelineConfig
+        from ctinexus_ray.pipelines.kg import (
+            canonicalize_nodes,
+            edges_dataset,
+            run_kg_to_parquet,
+            triples_dataset,
+        )
+
+        config = PipelineConfig(llm_concurrency=(1, 2), doc_batch_size=8,
+                                cpu_batch_size=8)
+        paths = run_kg_to_parquet(ray.data.from_arrow(make_cc_table(48)),
+                                  str(tmp_path / "out"), config)
+        docs_kg = ray.data.read_parquet(paths["docs_kg"])
+        assert docs_kg.count() == 48
+        assert len(os.listdir(paths["triples"])) > 1  # several writing tasks
+
+        triples = triples_dataset(docs_kg, config)
+        for name, plan in [("triples", triples),
+                           ("edges", edges_dataset(triples, config)),
+                           ("nodes", canonicalize_nodes(docs_kg, config))]:
+            want = pa.concat_tables(
+                t for t in ray.get(plan.to_arrow_refs()) if t.num_rows)
+            got = pq.read_table(paths[name])
+            assert got.num_rows > 0
+            assert got.schema.equals(want.schema), name
+            pd.testing.assert_frame_equal(_sorted_frame(got), _sorted_frame(want))
+
+        table = pq.read_table(paths["docs_kg"])
+        sums = {"docs": table.num_rows}
+        for out, col in [("triples", "triples_count"), ("mentions", "mentions_num"),
+                         ("entities", "entity_num"), ("subgraphs", "subgraph_num"),
+                         ("dropped_triplets", "dropped_triplets"),
+                         ("llm_input_tokens", "llm_input_tokens"),
+                         ("llm_output_tokens", "llm_output_tokens"),
+                         ("embed_tokens", "embed_tokens")]:
+            sums[out] = pc.sum(table.column(col)).as_py()
+        metrics = pq.read_table(paths["metrics"])
+        assert metrics.schema == pa.schema(
+            [("stage", pa.string())] + [(n, pa.int64()) for n in sums])
+        assert metrics.to_pylist() == [{"stage": "kg", **sums}]
+
+    def test_empty_corpus_writes_empty_outputs(self, ray_session, config, tmp_path):
+        import os
+
+        from ctinexus_ray.pipelines.kg import run_kg_to_parquet
+
+        paths = run_kg_to_parquet(
+            ray.data.from_arrow(make_cc_table(4).slice(0, 0)),
+            str(tmp_path / "out"), config,
+        )
+        assert sorted(paths) == ["docs_kg", "edges", "metrics", "nodes", "triples"]
+        for path in paths.values():
+            assert os.path.isdir(path)
+            assert _rows_under(path) == 0
+
+    def test_retried_derive_batch_overwrites_its_files(self, config, demos, tmp_path):
+        """A retried derive task re-runs a batch under the same (plan
+        token, task index, batch ordinal): the same files, the same rows."""
+        import os
+
+        from ctinexus_ray.pipelines.kg import derive_batch
+        from ctinexus_ray.stages.extract import extract_batch
+        from ctinexus_ray.stages.kg import KGDocStage
+        from ctinexus_ray.stages.triples import (
+            entity_partials_batch,
+            explode_triples_batch,
+        )
+
+        batch = KGDocStage(config, demos)(extract_batch(make_cc_table(12)))
+        dirs = [tmp_path / "triples", tmp_path / "edges"]
+        for d in dirs:
+            d.mkdir()
+
+        def derive(ordinal):
+            return derive_batch(batch, str(dirs[0]), str(dirs[1]), "plan", 3, ordinal)
+
+        def state():
+            return [(sorted(os.listdir(d)), _rows_under(d)) for d in dirs]
+
+        partials = derive(0)
+        first = state()
+        n = explode_triples_batch(batch).num_rows
+        assert n > 0 and first == [(["plan_000003_000000.parquet"], n)] * 2
+        assert partials.equals(entity_partials_batch(batch))
+        derive(0)
+        assert state() == first
+        derive(1)  # the task's next batch gets a file of its own
+        assert [len(files) for files, _ in state()] == [2, 2]
+
+
 class TestSourcesConform:
     def test_conform_schema_cast_fill_drop_order(self, ray_session):
         import pyarrow as pa

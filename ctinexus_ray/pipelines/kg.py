@@ -5,7 +5,7 @@
       -> map_batches(KGDocStage, concurrency)  # IE+ET+EA+LP fused task map
       -> write_parquet(docs_kg)                # the checkpoint
     read_parquet(docs_kg)                      # ONE derive execution
-      -> map_batches(derive)                   # explode -> edges; both written
+      -> derive_partials                       # explode -> edges; both written
                                                # task-side; entity partials out
       -> partitioned_agg(entity_key)           # THE wide shuffle
       -> write_parquet(nodes)
@@ -37,6 +37,8 @@ from ctinexus_ray.stages.triples import (
 )
 
 DOCUMENT_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
+# the docs_kg columns every derived output (triples / edges / nodes) reads
+DERIVE_COLUMNS = ["url", "kg_aligned_json", "kg_links_json"]
 KG_DOC_COLUMNS = [
     "url", "kg_aligned_json", "kg_links_json", "triples_count",
     "mentions_num", "entity_num", "subgraph_num", "dropped_triplets",
@@ -84,9 +86,7 @@ def run_kg_stage(
 
 def triples_dataset(kg_ds: ray.data.Dataset, config: PipelineConfig) -> ray.data.Dataset:
     """Flat triples table (one row per aligned or predicted triple)."""
-    return kg_ds.select_columns(
-        ["url", "kg_aligned_json", "kg_links_json"]
-    ).map_batches(
+    return kg_ds.select_columns(DERIVE_COLUMNS).map_batches(
         explode_triples_batch,
         batch_format="pyarrow",
         batch_size=config.cpu_batch_size,
@@ -244,42 +244,69 @@ def run_kg_to_parquet(
 
 
 def derive_batch(
-    batch: pa.Table, triples_dir: str, edges_dir: str,
+    batch: pa.Table, triples_dir: str | None, edges_dir: str | None,
     token: str, task_idx: int, ordinal: int,
 ) -> pa.Table:
     """One docs_kg batch of the derive pass: explode its triples once,
     map them to edges, write both as ``<token>_<task>_<ordinal>.parquet``
     under ``triples_dir`` / ``edges_dir`` (nothing for a batch with no
-    triple), and return the batch's entity partials for the
-    canonicalization reduce."""
+    triple, nor for a dir given as None), and return the batch's entity
+    partials for the canonicalization reduce."""
     triples = explode_triples_batch(batch)
     if triples.num_rows:
         name = f"{token}_{task_idx:06d}_{ordinal:06d}.parquet"
-        pq.write_table(triples, os.path.join(triples_dir, name))
-        pq.write_table(edges_batch(triples), os.path.join(edges_dir, name))
+        if triples_dir is not None:
+            pq.write_table(triples, os.path.join(triples_dir, name))
+        if edges_dir is not None:
+            pq.write_table(edges_batch(triples), os.path.join(edges_dir, name))
     return entity_partials_batch(batch)
 
 
-def _write_derived_outputs(docs_kg_path: str, out, config: PipelineConfig) -> dict[str, str]:
-    """Derive triples / nodes / edges / metrics from the docs_kg
-    checkpoint in ONE Ray Data execution: one read of the checkpoint,
-    one derive map (``derive_batch``) whose tasks write the triples and
-    edges files themselves and hand the entity partials on to the
-    canonicalization reduce and the nodes write. Metrics come from one
-    streaming scan of the counter columns (``metrics_total``).
+def derive_partials(
+    docs_kg: str | list[str], triples_dir: str | None,
+    edges_dir: str | None, config: PipelineConfig,
+) -> ray.data.Dataset:
+    """THE derive map over the docs_kg parquet at ``docs_kg`` (a
+    directory or a list of shard files), shared by the full build and
+    the incremental fold: its tasks write the triples and edges files
+    themselves (``derive_batch``) and it yields the entity partials for
+    ``reduce_entity_partials``. Lazy: the files exist once the returned
+    dataset has executed.
 
     Task-side file names are ``<plan token>_<task index>_<batch
     ordinal>``: a retried task re-runs the same input batches in the
     same order under the same task index, so it overwrites its earlier
     attempt's files instead of adding rows. (The ordinal counts batches
     in the task's own ``TaskContext``, which every attempt gets anew.)
-    Urls are not part of the name: duplicate input urls would collide.
+    Urls are not part of the name: duplicate input urls would collide."""
+    import uuid
+
+    from ray.data._internal.execution.interfaces.task_context import TaskContext
+
+    token = uuid.uuid4().hex
+
+    def derive(batch: pa.Table) -> pa.Table:
+        ctx = TaskContext.get_current()
+        ordinal = ctx.kwargs[token] = ctx.kwargs.get(token, -1) + 1
+        return derive_batch(batch, triples_dir, edges_dir,
+                            token, ctx.task_idx, ordinal)
+
+    return ray.data.read_parquet(docs_kg, columns=DERIVE_COLUMNS).map_batches(
+        derive, batch_format="pyarrow", batch_size=config.cpu_batch_size
+    )
+
+
+def _write_derived_outputs(docs_kg_path: str, out, config: PipelineConfig) -> dict[str, str]:
+    """Derive triples / nodes / edges / metrics from the docs_kg
+    checkpoint in ONE Ray Data execution: one read of the checkpoint,
+    one derive map (``derive_partials``) whose tasks write the triples
+    and edges files themselves and hand the entity partials on to the
+    canonicalization reduce and the nodes write. Metrics come from one
+    streaming scan of the counter columns (``metrics_total``).
 
     An empty corpus leaves every output directory empty (no metrics
     row, as ``metrics_total`` has none)."""
     import uuid
-
-    from ray.data._internal.execution.interfaces.task_context import TaskContext
 
     paths = {name: str(out / name) for name in ("triples", "nodes", "edges", "metrics")}
     for path in paths.values():
@@ -287,18 +314,9 @@ def _write_derived_outputs(docs_kg_path: str, out, config: PipelineConfig) -> di
     total = metrics_total(docs_kg_path)
     if not total.num_rows:
         return paths
-    token = uuid.uuid4().hex
-    pq.write_table(total, os.path.join(paths["metrics"], f"{token}.parquet"))
+    pq.write_table(total, os.path.join(paths["metrics"], f"{uuid.uuid4().hex}.parquet"))
 
-    def derive(batch: pa.Table) -> pa.Table:
-        ctx = TaskContext.get_current()
-        ordinal = ctx.kwargs[token] = ctx.kwargs.get(token, -1) + 1
-        return derive_batch(batch, paths["triples"], paths["edges"],
-                            token, ctx.task_idx, ordinal)
-
-    partials = ray.data.read_parquet(
-        docs_kg_path, columns=["url", "kg_aligned_json", "kg_links_json"]
-    ).map_batches(derive, batch_format="pyarrow", batch_size=config.cpu_batch_size)
+    partials = derive_partials(docs_kg_path, paths["triples"], paths["edges"], config)
     reduce_entity_partials(partials, config).map_batches(
         strip_class_rank_batch, batch_format="pyarrow"
     ).write_parquet(paths["nodes"])
@@ -361,7 +379,7 @@ def build_kg(
     return {
         "triples": triples,
         "nodes": canonicalize_nodes(
-            kg.select_columns(["url", "kg_aligned_json", "kg_links_json"]), config
+            kg.select_columns(DERIVE_COLUMNS), config
         ),
         "edges": edges_dataset(triples, config),
     }

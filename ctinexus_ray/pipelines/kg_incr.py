@@ -18,22 +18,25 @@ exactly-once:
 and triples / edges are pure per-row maps of a shard (append-only),
 metrics a Sum fold. This module therefore maintains all four as
 PERSISTED VERSIONED TABLES (``state/tableformat.py``), folding only the
-docs_kg shards committed since the last fold:
+docs_kg shards committed since the last fold through ONE pass of the
+full build's derive map (``kg.derive_partials``):
 
     out/
       docs_kg/        per-shard checkpoint (run_resumable, unchanged)
-      nodes_view/     IVM view: delta = canonicalize_node_partials(new
-                      shards) merged by Sum/Max (one merge_upsert per
-                      tick — copy-on-write, touched key ranges only)
-      triples_view/   append table: explode of new shards
-      edges_view/     append table: edges map of new shards
-      metrics_view/   IVM view: Sum fold of new shards' stage metrics
+      nodes_view/     IVM view: the pass's entity partials, reduced and
+                      merged by Sum/Max (one apply_delta per tick; its
+                      hash-partitioned files span the whole key space,
+                      so every tick rewrites the view)
+      triples_view/   append table: the files the pass's tasks wrote
+      edges_view/     append table: the files the pass's tasks wrote
+      metrics_view/   one-row Sum fold on the driver (``metrics_total``)
 
 Exactly-once: each table's manifest carries its own applied-shard
 ledger (``ivm_applied`` for the IVM views, ``kg_applied`` for the
-append tables), atomic with the data commit — a crash anywhere replays
-into a no-op or a clean re-fold, never a double count. Incremental ==
-full recompute by the monoid-fold argument (pinned by
+append tables), atomic with the data commit — a crash between two
+tables' commits leaves the next fold the shards that some tables still
+lack, and it folds them into exactly those tables. Incremental == full
+recompute by the monoid-fold argument (pinned by
 tests/test_kg_incr.py on a 3-tick corpus against the ``kg.py``
 full-derivation oracle).
 
@@ -46,29 +49,37 @@ state to maintain.
 from __future__ import annotations
 
 import os
+import uuid
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
-import ray
 import ray.data
 
 from ctinexus_ray.config import PipelineConfig
 from ctinexus_ray.pipelines.kg import (
     METRIC_COLUMNS,
-    canonicalize_node_partials,
+    METRICS_SCHEMA,
+    derive_partials,
     metrics_total,
+    reduce_entity_partials,
     strip_class_rank_batch,
 )
-from ctinexus_ray.stages.triples import edges_batch, explode_triples_batch
 from ctinexus_ray.state.checkpoint import completed_partitions
-from ctinexus_ray.state.ivm import applied_batches, apply_delta
+from ctinexus_ray.state.ivm import apply_delta
 from ctinexus_ray.state.tableformat import (
+    ConcurrentWriteError,
+    commit_version,
+    latest_version,
     read_version,
     version_extra,
+    version_files,
 )
 
 _LEDGER = "kg_applied"
+# view -> the manifest ledger key that lists its applied shards
+_LEDGERS = {"nodes": "ivm_applied", "triples": _LEDGER,
+            "edges": _LEDGER, "metrics": "ivm_applied"}
 _NODE_VALUE_COLS = {
     "entity_text": "max",
     "class_rank": "max",
@@ -94,172 +105,122 @@ def _bid(pid: str) -> str:
     return f"kgshard-{pid}"
 
 
-def _read_shards(paths: list[str]) -> ray.data.Dataset:
-    return ray.data.read_parquet(
-        paths, columns=["url", "kg_aligned_json", "kg_links_json"]
-    )
+def _snapshot(table_dir: str) -> tuple[int | None, dict]:
+    """(latest version, its manifest extra) — the state a commit that
+    extends a ledger pins as its expected parent."""
+    parent = latest_version(table_dir)
+    return parent, version_extra(table_dir, parent) if parent is not None else {}
 
 
-def _fold_nodes(
-    shards: list[tuple[str, str]], view_dir: str, config: PipelineConfig
+def _append_files(
+    table_dir: str, files: list[str], bids: list[str], snapshot
 ) -> int:
-    applied = set(applied_batches(view_dir))
-    todo = [(p, f) for p, f in shards if _bid(p) not in applied]
-    if not todo:
-        return 0
-    delta = canonicalize_node_partials(
-        _read_shards([f for _, f in todo]), config
-    )
-    apply_delta(
-        view_dir,
-        delta,
-        key_col="entity_key",
-        value_cols=_NODE_VALUE_COLS,
-        batch_id=[_bid(p) for p, _ in todo],
-        num_partitions=config.canon_num_partitions or None,
-        value_types=_NODE_VALUE_TYPES,
-    )
-    return len(todo)
+    """Adopt task-written ``files`` into an append table with ONE
+    append commit whose manifest extends the ``kg_applied`` ledger by
+    ``bids``. The commit pins the version the ledger was read from, so a
+    concurrent append aborts it (``ConcurrentWriteError``) instead of
+    losing ledger entries; a crash before it leaves only orphan files
+    (vacuumable)."""
+    parent, extra = snapshot
+    ledger = list(extra.get(_LEDGER, [])) + bids
+    return commit_version(table_dir, files, mode="append",
+                          extra={**extra, _LEDGER: ledger},
+                          expected_parent=parent)
 
 
 def _fold_metrics(
-    shards: list[tuple[str, str]], view_dir: str, config: PipelineConfig
-) -> int:
-    from ctinexus_ray.ops.dedup import hash64_strings
-
-    applied = set(applied_batches(view_dir))
-    todo = [(p, f) for p, f in shards if _bid(p) not in applied]
-    if not todo:
-        return 0
-
-    total = metrics_total([f for _, f in todo])
-    keys = hash64_strings(total.column("stage").to_pylist()).astype(np.int64)
-    delta = ray.data.from_arrow(
-        total.append_column("stage_key", pa.array(keys, type=pa.int64()))
+    view_dir: str, files: list[str], bids: list[str], snapshot
+) -> None:
+    """The one-row metrics view folded on the driver: ``metrics_total``
+    of the new shards summed with the current row, written as one file
+    and committed as ONE overwrite that extends ``ivm_applied``."""
+    parent, extra = snapshot
+    rows = [metrics_total(files)]
+    if parent is not None:
+        rows += [pq.read_table(f, columns=METRICS_SCHEMA.names)
+                 for f in version_files(view_dir, parent)]
+    total = pa.concat_tables(rows).group_by("stage").aggregate(
+        [(c, "sum") for c in METRIC_COLUMNS]
     )
-    apply_delta(
-        view_dir,
-        delta,
-        key_col="stage_key",
-        value_cols={c: "sum" for c in METRIC_COLUMNS},
-        batch_id=[_bid(p) for p, _ in todo],
-    )
-    return len(todo)
-
-
-def _append_shard_map(
-    shards: list[tuple[str, str]],
-    table_dir: str,
-    build,
-) -> int:
-    """Exactly-once append of a per-row map over new shards: write the
-    mapped rows as immutable files under the table dir, then ONE append
-    commit whose manifest extends the applied-shard ledger — crash
-    before the commit leaves only orphan files (vacuumable), crash
-    after replays into a ledger no-op. The commit pins the version the
-    ledger was read from, so a concurrent append aborts it
-    (``ConcurrentWriteError``) instead of losing ledger entries."""
-    from ctinexus_ray.state.tableformat import (
-        latest_version,
-        write_dataset_version,
-    )
-
-    parent = latest_version(table_dir)
-    extra = version_extra(table_dir, parent) if parent is not None else {}
-    applied = set(extra.get(_LEDGER, []))
-    todo = [(p, f) for p, f in shards if _bid(p) not in applied]
-    if not todo:
-        return 0
-    extra[_LEDGER] = list(extra.get(_LEDGER, [])) + [_bid(p) for p, _ in todo]
-    write_dataset_version(
-        table_dir, build(_read_shards([f for _, f in todo])),
-        mode="append", extra=extra, expected_parent=parent,
-    )
-    return len(todo)
-
-
-def _settle_fsspec_http_import() -> None:
-    """Ray's path resolution probes ``fsspec.implementations.http`` on
-    every read/write. In this environment that import always fails
-    (aiohttp absent) and therefore never lands in ``sys.modules`` — so
-    two driver threads resolving paths concurrently race inside the
-    import machinery and one sees a half-initialized module (plain
-    ImportError, which Ray does NOT catch, vs the ModuleNotFoundError it
-    does). Seed a sentinel module once, single-threaded: the class is
-    never instantiated here (no http filesystems in this engine), it only
-    makes ``isinstance`` checks answer False deterministically."""
-    import sys as _sys
-    import types as _types
-
-    try:
-        import fsspec.implementations.http  # noqa: F401
-    except ImportError:
-        mod = _types.ModuleType("fsspec.implementations.http")
-
-        class HTTPFileSystem:  # sentinel only
-            pass
-
-        mod.HTTPFileSystem = HTTPFileSystem
-        _sys.modules["fsspec.implementations.http"] = mod
+    total = total.rename_columns(
+        [c.removesuffix("_sum") for c in total.column_names]
+    ).select(METRICS_SCHEMA.names)
+    path = os.path.join(view_dir, f"data-{uuid.uuid4().hex[:12]}.parquet")
+    os.makedirs(view_dir, exist_ok=True)
+    pq.write_table(total, path)
+    ledger = list(extra.get("ivm_applied", [])) + bids
+    commit_version(view_dir, [path], mode="overwrite",
+                   extra={**extra, "ivm_applied": ledger},
+                   expected_parent=parent)
 
 
 def fold_kg_derived(
     out_dir: str, config: PipelineConfig | None = None
 ) -> dict:
     """Fold every committed-but-unfolded docs_kg shard into the four
-    derived tables. Idempotent per table (own ledgers), cheap per tick:
-    cost is O(new docs) map work + one copy-on-write merge over the key
-    ranges the new entities touch — NOT an O(corpus) re-shuffle."""
+    derived tables. Shards are grouped by the set of tables that lack
+    them (normally one group: all four). Per group, ONE Ray Data pass of
+    ``derive_partials`` reads the shards once: its tasks write the
+    triples and edges files into fresh data dirs, and its entity
+    partials feed ``reduce_entity_partials`` into the nodes view's
+    ``apply_delta``, whose delta materialize executes the pass. Then
+    triples and edges each adopt their files with one append commit and
+    the metrics row folds on the driver. Idempotent per table (own
+    ledgers).
+
+    Cost is O(new docs) map work plus a merge that rewrites the nodes
+    view: its hash-partitioned files span the whole key space, so every
+    tick touches every file (``nodes_files_rewritten`` /
+    ``nodes_files_kept`` report it) — NOT an O(corpus) re-shuffle of
+    docs_kg, but O(view) bytes per tick."""
     config = config or PipelineConfig()
-    docs_kg = os.path.join(out_dir, "docs_kg")
-    shards = committed_kg_shards(docs_kg)
-    if not shards:
-        return {"kg_shards": 0, "nodes_folded": 0, "triples_folded": 0,
-                "edges_folded": 0, "metrics_folded": 0}
+    shards = committed_kg_shards(os.path.join(out_dir, "docs_kg"))
+    dirs = {v: os.path.join(out_dir, f"{v}_view") for v in _LEDGERS}
+    applied = {v: set(_snapshot(d)[1].get(_LEDGERS[v], []))
+               for v, d in dirs.items()}
+    groups: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+    for pid, path in shards:
+        lacking = tuple(v for v in _LEDGERS if _bid(pid) not in applied[v])
+        if lacking:
+            groups.setdefault(lacking, []).append((pid, path))
 
-    def explode(ds: ray.data.Dataset) -> ray.data.Dataset:
-        return ds.map_batches(
-            explode_triples_batch,
-            batch_format="pyarrow",
-            batch_size=config.cpu_batch_size,
-        )
-
-    # the four folds touch DISJOINT tables and are independent — run
-    # them in driver threads so each tick pays max(fold) wall, not the
-    # sum of four fixed per-execution latencies (plans are built inside
-    # each fold; the fsspec import race is settled first)
-    import concurrent.futures as cf
-
-    _settle_fsspec_http_import()
-    with cf.ThreadPoolExecutor(max_workers=4) as ex:
-        f_nodes = ex.submit(
-            _fold_nodes, shards, os.path.join(out_dir, "nodes_view"), config
-        )
-        f_triples = ex.submit(
-            _append_shard_map, shards,
-            os.path.join(out_dir, "triples_view"), explode,
-        )
-        f_edges = ex.submit(
-            _append_shard_map, shards,
-            os.path.join(out_dir, "edges_view"),
-            lambda ds: explode(ds).map_batches(
-                edges_batch, batch_format="pyarrow",
-                batch_size=config.cpu_batch_size,
-            ),
-        )
-        f_metrics = ex.submit(
-            _fold_metrics, shards, os.path.join(out_dir, "metrics_view"),
-            config,
-        )
-        nodes, triples = f_nodes.result(), f_triples.result()
-        edges, metrics = f_edges.result(), f_metrics.result()
-    return {
-        "kg_shards": len(shards),
-        "nodes_folded": nodes,
-        "triples_folded": triples,
-        "edges_folded": edges,
-        "metrics_folded": metrics,
-    }
+    stats = {"kg_shards": len(shards), "nodes_files_rewritten": 0,
+             "nodes_files_kept": 0, **{f"{v}_folded": 0 for v in _LEDGERS}}
+    for lacking, todo in groups.items():
+        files, bids = [f for _, f in todo], [_bid(p) for p, _ in todo]
+        snaps = {v: _snapshot(dirs[v]) for v in lacking}
+        data_dirs = {v: os.path.join(dirs[v], f"data-{uuid.uuid4().hex[:12]}")
+                     for v in ("triples", "edges") if v in lacking}
+        for d in data_dirs.values():
+            os.makedirs(d)
+        if "nodes" in lacking or data_dirs:
+            partials = derive_partials(
+                files, data_dirs.get("triples"), data_dirs.get("edges"), config
+            )
+            if "nodes" in lacking:
+                merged = apply_delta(
+                    dirs["nodes"], reduce_entity_partials(partials, config),
+                    key_col="entity_key", value_cols=_NODE_VALUE_COLS,
+                    batch_id=bids,
+                    num_partitions=config.canon_num_partitions or None,
+                    value_types=_NODE_VALUE_TYPES,
+                )
+                if not merged["applied"]:  # the pass never ran
+                    raise ConcurrentWriteError(
+                        f"{dirs['nodes']}: shards folded concurrently"
+                    )
+                stats["nodes_files_rewritten"] += merged.get("files_rewritten", 0)
+                stats["nodes_files_kept"] += merged.get("files_kept", 0)
+            else:
+                partials.materialize()  # the pass, for its files only
+        for v, d in data_dirs.items():
+            written = sorted(os.path.join(d, n) for n in os.listdir(d))
+            _append_files(dirs[v], written, bids, snaps[v])
+        if "metrics" in lacking:
+            _fold_metrics(dirs["metrics"], files, bids, snaps["metrics"])
+        for v in lacking:
+            stats[f"{v}_folded"] += len(todo)
+    return stats
 
 
 def read_kg_nodes_view(view_dir: str) -> ray.data.Dataset:
@@ -276,7 +237,8 @@ def read_kg_nodes_view(view_dir: str) -> ray.data.Dataset:
 
 
 def read_kg_metrics_view(view_dir: str) -> ray.data.Dataset:
-    """The corpus metrics rollup, minus the internal fold key."""
+    """The corpus metrics rollup (views an earlier fold wrote also hold
+    an internal ``stage_key`` column, not read here)."""
     return read_version(view_dir, columns=["stage", *METRIC_COLUMNS])
 
 

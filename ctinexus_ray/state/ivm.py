@@ -20,8 +20,10 @@ ledger isn't, or vice versa.
 Scale shape: the view is key-domain-sized (vocabulary, not corpus);
 the delta is tick-sized. One hash join delta<->view computes combined
 values for intersecting keys; ``merge_upsert`` then applies
-copy-on-write file pruning, so a delta touching one key range rewrites
-one view file, not the view.
+copy-on-write file pruning by footer key ranges. A view written by a
+hash partition (the join's output, and so every merged view) has files
+that each span the whole key space, so pruning keeps none of them and
+every delta rewrites the whole view (ROADMAP item 2: merge-on-read).
 """
 
 from __future__ import annotations

@@ -96,6 +96,23 @@ def _unify_schemas(base, file_schemas):
 _UNSET = object()
 
 
+def _align_to(schema):
+    """A ``map_batches`` function that conforms each batch to
+    ``schema``: its columns in the schema's order, null-filling the ones
+    the batch lacks (files that predate a column added by schema
+    evolution)."""
+    import pyarrow as pa
+
+    def align(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_arrays(
+            [batch.column(f.name) if f.name in batch.column_names
+             else pa.nulls(batch.num_rows, type=f.type) for f in schema],
+            schema=schema,
+        )
+
+    return align
+
+
 def commit_version(
     table_dir: str,
     files: list[str],
@@ -306,18 +323,6 @@ def read_version(
     groups: dict[int, list[str]] = {}
     for f in manifest["files"]:
         groups.setdefault(fmap[f], []).append(f)
-
-    def _align_to(schema: pa.Schema):
-        def align(batch: pa.Table) -> pa.Table:
-            arrays = []
-            for field in schema:
-                if field.name in batch.column_names:
-                    arrays.append(batch.column(field.name))
-                else:
-                    arrays.append(pa.nulls(batch.num_rows, type=field.type))
-            return pa.Table.from_arrays(arrays, schema=schema)
-
-        return align
 
     def _binds(expr, schema: pa.Schema) -> bool:
         # does the filter reference only columns this schema has?
@@ -561,23 +566,8 @@ def merge_upsert(
                 # a touched file may predate evolved columns: null-fill
                 # and reorder to the union schema (read_version's rule)
                 # so the union with the aligned inserts is one schema
-                import pyarrow as _pa
-
-                target = union_schema
-
-                def conform(batch: _pa.Table, _t=target) -> _pa.Table:
-                    cols = {}
-                    for f in _t:
-                        if f.name in batch.column_names:
-                            cols[f.name] = batch.column(f.name)
-                        else:
-                            cols[f.name] = _pa.nulls(
-                                batch.num_rows, type=f.type
-                            )
-                    return _pa.table(cols)
-
                 base_read = base_read.map_batches(
-                    conform, batch_format="pyarrow"
+                    _align_to(union_schema), batch_format="pyarrow"
                 )
             to_write = (
                 base_read
@@ -592,23 +582,8 @@ def merge_upsert(
         if base_files:
             big_base = ray.data.read_parquet(base_files)
             if union_schema is not None:
-                import pyarrow as _pa
-
-                target2 = union_schema
-
-                def conform2(batch: _pa.Table, _t=target2) -> _pa.Table:
-                    cols = {}
-                    for f in _t:
-                        if f.name in batch.column_names:
-                            cols[f.name] = batch.column(f.name)
-                        else:
-                            cols[f.name] = _pa.nulls(
-                                batch.num_rows, type=f.type
-                            )
-                    return _pa.table(cols)
-
                 big_base = big_base.map_batches(
-                    conform2, batch_format="pyarrow"
+                    _align_to(union_schema), batch_format="pyarrow"
                 )
             to_write = hash_join(
                 big_base,

@@ -230,6 +230,60 @@ class TestWorkerDeath:
         run_resumable(corpus_files, tmp_path / "clean", clean)
         _assert_same_outputs(tmp_path / "poisoned", tmp_path / "clean")
 
+    def test_kg_fold_derive_task_death_heals(
+        self, corpus_files, tmp_path, ray_session, config, monkeypatch
+    ):
+        """A derive task of ``fold_kg_derived`` dies on its first attempt
+        right after writing its triples and edges files: the retried
+        task overwrites them, and all four views equal the undisturbed
+        twin's."""
+        import shutil
+
+        import pandas as pd
+
+        import ctinexus_ray.pipelines.kg as kg
+        from ctinexus_ray.pipelines.kg_incr import (
+            fold_kg_derived,
+            read_kg_metrics_view,
+            read_kg_nodes_view,
+        )
+        from ctinexus_ray.state.tableformat import read_version
+
+        flag = str(tmp_path / "derive_poison")
+        poison_once, real = _make_poison(), kg.derive_batch
+
+        def dies_after_writing(*args):
+            partials = real(*args)
+            poison_once(flag)
+            return partials
+
+        kg.checkpoint_docs_kg(
+            corpus_files, str(tmp_path / "clean" / "docs_kg"), config
+        )
+        shutil.copytree(tmp_path / "clean", tmp_path / "poisoned")
+        fold_kg_derived(str(tmp_path / "clean"), config)
+        monkeypatch.setattr(kg, "derive_batch", dies_after_writing)
+        got = fold_kg_derived(str(tmp_path / "poisoned"), config)
+        assert os.path.exists(flag), "poison never fired"
+        assert got["nodes_folded"] == got["triples_folded"] == 2
+
+        def frame(ds):
+            df = ds.to_pandas()
+            df = df[sorted(df.columns)].astype(str)
+            return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+        readers = {
+            "nodes_view": read_kg_nodes_view,
+            "triples_view": read_version,
+            "edges_view": read_version,
+            "metrics_view": read_kg_metrics_view,
+        }
+        for view, read in readers.items():
+            pd.testing.assert_frame_equal(
+                frame(read(str(tmp_path / "poisoned" / view))),
+                frame(read(str(tmp_path / "clean" / view))),
+            )
+
     def test_index_build_task_death_keeps_manifest_atomic(
         self, tmp_path, ray_session
     ):

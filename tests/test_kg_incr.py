@@ -17,7 +17,11 @@ from ctinexus_ray.pipelines.kg_incr import (
 )
 from ctinexus_ray.sources.synth import write_cc_corpus
 from ctinexus_ray.stages.triples import edges_batch, explode_triples_batch
-from ctinexus_ray.state.tableformat import read_version
+from ctinexus_ray.state.tableformat import (
+    read_version,
+    version_extra,
+    version_files,
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +78,38 @@ def _metrics_oracle(out_dir):
     return ray.data.from_items([row])
 
 
+def _assert_views_match_full(out, config):
+    """All four views frame-equal to a full recompute over docs_kg, and
+    no shard id twice in any view's ledger."""
+    full = _full_docs_kg(out)
+    got_nodes = _sorted_df(read_kg_nodes_view(f"{out}/nodes_view"))
+    want_nodes = _sorted_df(canonicalize_nodes(full, config))
+    pd.testing.assert_frame_equal(got_nodes, want_nodes)
+
+    got_triples = _sorted_df(read_version(f"{out}/triples_view"))
+    want_triples = _sorted_df(_explode(_full_docs_kg(out), config))
+    pd.testing.assert_frame_equal(got_triples, want_triples)
+
+    got_edges = _sorted_df(read_version(f"{out}/edges_view"))
+    want_edges = _sorted_df(
+        _explode(_full_docs_kg(out), config).map_batches(
+            edges_batch, batch_format="pyarrow"
+        )
+    )
+    pd.testing.assert_frame_equal(got_edges, want_edges)
+
+    got_metrics = _sorted_df(read_kg_metrics_view(f"{out}/metrics_view"))
+    want_metrics = _sorted_df(_metrics_oracle(out))
+    pd.testing.assert_frame_equal(got_metrics, want_metrics)
+
+    for view, key in [("nodes_view", "ivm_applied"),
+                      ("triples_view", "kg_applied"),
+                      ("edges_view", "kg_applied"),
+                      ("metrics_view", "ivm_applied")]:
+        ledger = version_extra(f"{out}/{view}")[key]
+        assert len(ledger) == len(set(ledger)), view
+
+
 class TestIncrementalEqualsFull:
     def test_three_ticks_match_full_recompute(
         self, corpus_files, tmp_path, ray_session, config
@@ -84,29 +120,14 @@ class TestIncrementalEqualsFull:
             assert res["processed"] == 1 and res["nodes_folded"] == 1
             assert res["triples_folded"] == 1 and res["edges_folded"] == 1
             assert res["metrics_folded"] == 1
-
-            full = _full_docs_kg(out)
-            got_nodes = _sorted_df(read_kg_nodes_view(f"{out}/nodes_view"))
-            want_nodes = _sorted_df(canonicalize_nodes(full, config))
-            pd.testing.assert_frame_equal(got_nodes, want_nodes)
-
-            got_triples = _sorted_df(read_version(f"{out}/triples_view"))
-            want_triples = _sorted_df(_explode(_full_docs_kg(out), config))
-            pd.testing.assert_frame_equal(got_triples, want_triples)
-
-            got_edges = _sorted_df(read_version(f"{out}/edges_view"))
-            want_edges = _sorted_df(
-                _explode(_full_docs_kg(out), config).map_batches(
-                    edges_batch, batch_format="pyarrow"
+            # hash-partitioned view files span the whole key space:
+            # every tick's merge rewrites every nodes view file
+            assert res["nodes_files_kept"] == 0
+            if tick > 1:
+                assert res["nodes_files_rewritten"] == len(
+                    version_files(f"{out}/nodes_view", tick - 1)
                 )
-            )
-            pd.testing.assert_frame_equal(got_edges, want_edges)
-
-            got_metrics = _sorted_df(
-                read_kg_metrics_view(f"{out}/metrics_view")
-            )
-            want_metrics = _sorted_df(_metrics_oracle(out))
-            pd.testing.assert_frame_equal(got_metrics, want_metrics)
+            _assert_views_match_full(out, config)
 
     def test_fold_replay_is_noop(
         self, corpus_files, tmp_path, ray_session, config
@@ -144,45 +165,116 @@ class TestIncrementalEqualsFull:
 
 class TestShardMapRace:
     def test_overtaken_append_aborts_instead_of_dropping_ledger(
-        self, tmp_path, ray_session
+        self, tmp_path
     ):
-        """A shard-map append whose ledger was read from version N must
+        """An append commit whose ledger was read from version N must
         not commit over a concurrent append's version N+1: the racer's
         shards would vanish from the ledger and fold twice on replay."""
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from ctinexus_ray.pipelines.kg_incr import _append_shard_map, _bid
-        from ctinexus_ray.state.tableformat import (
-            ConcurrentWriteError,
-            version_extra,
+        from ctinexus_ray.pipelines.kg_incr import (
+            _append_files,
+            _bid,
+            _snapshot,
         )
-
-        def shard(pid):
-            path = str(tmp_path / f"part-{pid}.parquet")
-            pq.write_table(
-                pa.table(
-                    {
-                        "url": [f"http://{pid}"],
-                        "kg_aligned_json": ["[]"],
-                        "kg_links_json": ["[]"],
-                    }
-                ),
-                path,
-            )
-            return (pid, path)
+        from ctinexus_ray.state.tableformat import ConcurrentWriteError
 
         table = str(tmp_path / "triples_view")
-        _append_shard_map([shard("a")], table, lambda ds: ds)
 
-        def racing_build(ds):
-            # the racer commits while this append is still building
-            _append_shard_map([shard("racer")], table, lambda d: d)
-            return ds
+        def append(pid, snapshot=None):
+            path = str(tmp_path / f"triples-{pid}.parquet")
+            pq.write_table(pa.table({"url": [f"http://{pid}"]}), path)
+            return _append_files(
+                table, [path], [_bid(pid)], snapshot or _snapshot(table)
+            )
 
+        append("a")
+        stale = _snapshot(table)  # "b" reads the ledger ...
+        append("racer")  # ... the racer commits while "b" derives
         with pytest.raises(ConcurrentWriteError):
-            _append_shard_map([shard("b")], table, racing_build)
+            append("b", stale)
         ledger = version_extra(table)["kg_applied"]
         assert ledger == [_bid("a"), _bid("racer")]
-        assert _append_shard_map([shard("b")], table, lambda ds: ds) == 1
-        assert read_version(table).count() == 3
+        assert append("b") == 3  # the retry folds once
+        assert version_extra(table)["kg_applied"] == [
+            _bid("a"), _bid("racer"), _bid("b")
+        ]
+        assert pq.read_table(version_files(table, 3)).num_rows == 3
+
+
+class TestCrashBetweenCommits:
+    """A fold that dies after some tables committed: the next fold
+    folds the stranded shards into exactly the tables that lack them."""
+
+    def _crash_once(self, monkeypatch, name, when):
+        import ctinexus_ray.pipelines.kg_incr as kg_incr
+
+        real, fired = getattr(kg_incr, name), []
+
+        def crashing(table_dir, *args, **kwargs):
+            if when(table_dir) and not fired:
+                fired.append(table_dir)
+                raise RuntimeError(f"injected crash: {name} {table_dir}")
+            return real(table_dir, *args, **kwargs)
+
+        monkeypatch.setattr(kg_incr, name, crashing)
+        return fired
+
+    def test_triples_commit_crash_after_nodes_committed(
+        self, corpus_files, tmp_path, ray_session, config, monkeypatch
+    ):
+        out = str(tmp_path / "kg")
+        run_kg_incremental(corpus_files[:1], out, config)
+        fired = self._crash_once(
+            monkeypatch, "commit_version",
+            lambda d: d.endswith("triples_view"),
+        )
+        with pytest.raises(RuntimeError, match="injected crash"):
+            run_kg_incremental(corpus_files[:2], out, config)
+        assert fired
+        res = fold_kg_derived(out, config)
+        assert res["nodes_folded"] == 0 and res["triples_folded"] == 1
+        assert res["edges_folded"] == 1 and res["metrics_folded"] == 1
+        _assert_views_match_full(out, config)
+
+    def test_nodes_apply_delta_crash(
+        self, corpus_files, tmp_path, ray_session, config, monkeypatch
+    ):
+        out = str(tmp_path / "kg")
+        run_kg_incremental(corpus_files[:1], out, config)
+        fired = self._crash_once(monkeypatch, "apply_delta", lambda d: True)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            run_kg_incremental(corpus_files[:2], out, config)
+        assert fired
+        res = fold_kg_derived(out, config)
+        assert res["nodes_folded"] == res["triples_folded"] == 1
+        assert res["edges_folded"] == res["metrics_folded"] == 1
+        _assert_views_match_full(out, config)
+
+
+class TestFoldExecutions:
+    def test_one_tick_runs_at_most_five_executions(
+        self, corpus_files, tmp_path, ray_session, config, monkeypatch
+    ):
+        """One pass per tick: the derive map executes inside the nodes
+        merge (the parent's four driver-thread folds ran 11)."""
+        from ray.data._internal.execution.streaming_executor import (
+            StreamingExecutor,
+        )
+
+        from ctinexus_ray.pipelines.kg import checkpoint_docs_kg
+
+        out = str(tmp_path / "kg")
+        run_kg_incremental(corpus_files[:1], out, config)
+        checkpoint_docs_kg(corpus_files[:2], f"{out}/docs_kg", config)
+        calls, real = [], StreamingExecutor.execute
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", counted)
+        res = fold_kg_derived(out, config)
+        assert res["nodes_folded"] == res["triples_folded"] == 1
+        assert 0 < len(calls) <= 5

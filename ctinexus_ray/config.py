@@ -57,7 +57,7 @@ class PipelineConfig:
     # backlog caps it too: against perfbench's loopback stub (a
     # ThreadingHTTPServer with socketserver's listen backlog of 5), 64 or
     # 128 in flight made a 128-doc KG batch 2.5-3x slower than 16 (3.6-6.4
-    # s vs 1.7-1.8 s, 1-core host), as dropped SYNs wait out TCP's 1 s
+    # s vs 1.7-1.8 s, 4-CPU sandbox), as dropped SYNs wait out TCP's 1 s
     # retransmit; with the stub's backlog raised to 128 the same batch took
     # 0.5-0.7 s at 64/128 and 0.9 s at 16. The default stays 16; more
     # overlap has to come from fewer requests.
@@ -66,7 +66,10 @@ class PipelineConfig:
     cpu_batch_size: int = 256
 
     # canonicalization shuffle
-    canon_num_partitions: int = 0      # 0 = let Ray pick
+    # Its reduce partitions. 0 = each path's default: 64 in
+    # kg.reduce_entity_partials; in kg_incr.fold_kg_derived, apply_delta's
+    # own choice (its join and merge size from plan metadata).
+    canon_num_partitions: int = 0
 
     extra: dict = field(default_factory=dict)
 

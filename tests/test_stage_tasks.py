@@ -1,8 +1,11 @@
 """LLM stages run as Ray Data task maps over per-process stage state
 (``llm.client.stage_task_map`` / ``stage_for``): no actor pool per
-execution, and stage objects scoped to the plan that built them."""
+execution, stage objects scoped to the plan that built them, and a
+stage map that runs as wide as its concurrency bound."""
 
 from __future__ import annotations
+
+import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -85,3 +88,69 @@ def test_new_plan_retires_the_old_stage(monkeypatch):
     assert old.embed_cache == {}
     assert new.inflight.executor is not None and not new.inflight.executor._shutdown
     new.inflight.executor.shutdown()
+
+
+def test_engine_turns_off_operator_reservation(ray_session, tmp_path):
+    from ray.data.context import DataContext
+
+    import ctinexus_ray  # noqa: F401 — applies the context defaults
+
+    assert DataContext.get_current().op_resource_reservation_enabled is False
+    pq.write_table(pa.table({"id": [1, 2]}), tmp_path / "t.parquet")
+    ds = ray.data.read_parquet(str(tmp_path))
+    assert ds.context.op_resource_reservation_enabled is False
+
+
+def _max_overlap(spans: list[tuple[float, float]]) -> int:
+    """Most spans open at one instant (each start probed)."""
+    return max(
+        sum(1 for s, e in spans if s <= start < e) for start, _ in spans
+    )
+
+
+def test_kg_shaped_plan_runs_stage_tasks_at_full_concurrency(
+    ray_session, tmp_path
+):
+    """The docs_kg plan shape (read -> stateless map -> stage task map ->
+    select -> write) on 4 CPUs keeps 3 stage tasks running at once.
+    Ray Data's per-operator reservation held such a stage to 2: each of
+    the 4 operators reserved one task's CPU, leaving no shared pool."""
+    from ctinexus_ray.config import PipelineConfig
+
+    class SleepStage:
+        def __call__(self, batch):
+            start = time.time()
+            time.sleep(1.0)
+            n = batch.num_rows
+            return pa.table({
+                "id": batch.column("id"),
+                "start": pa.array([start] * n, type=pa.float64()),
+                "end": pa.array([time.time()] * n, type=pa.float64()),
+            })
+
+    def widen(batch):
+        return batch.append_column("pad", pa.array([0] * batch.num_rows))
+
+    src = tmp_path / "src"
+    src.mkdir()
+    for i in range(9):
+        pq.write_table(
+            pa.table({"id": list(range(4 * i, 4 * i + 4))}),
+            src / f"part-{i}.parquet",
+        )
+    ds = ray.data.read_parquet(str(src)).map_batches(
+        widen, batch_format="pyarrow", batch_size=None
+    )
+    ds = llm_client.stage_task_map(
+        ds, SleepStage, {}, PipelineConfig(llm_concurrency=(3, 3)), None
+    )
+    ds.select_columns(["id", "start", "end"]).write_parquet(
+        str(tmp_path / "out")
+    )
+
+    out = pq.read_table(tmp_path / "out")
+    assert sorted(out.column("id").to_pylist()) == list(range(36))
+    spans = sorted(set(zip(out.column("start").to_pylist(),
+                           out.column("end").to_pylist())))
+    assert len(spans) >= 6
+    assert _max_overlap(spans) == 3

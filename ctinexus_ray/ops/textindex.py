@@ -54,6 +54,7 @@ import ray.data
 from ctinexus_ray.ops.dedup import hash64_strings
 from ctinexus_ray.ops.textstats import _tokens, bm25_rank_postings
 from ctinexus_ray.state.tableformat import (
+    applied_ids,
     commit_version,
     latest_version,
     read_version,
@@ -230,25 +231,20 @@ def text_index_build(
     docs: ray.data.Dataset, table_dir: str, num_buckets: int = 64,
     batch_id: str | list[str] | None = None,
     positions: bool = False,
-) -> int:
+) -> int | None:
     """Build (or rebuild) the inverted index; returns the committed
     version. Overwrite semantics: a rebuild replaces the file set.
-    ``batch_id`` seeds the applied-batch ledger (see
+    ``batch_id`` extends the applied-batch ledger (see
     ``text_index_append``) for callers folding an ingestion stream; a
     LIST marks several batches applied in the one atomic commit — the
     rebuild-from-latest path, where the fresh index already covers
-    every corpus version. ``positions=True`` stores each posting's
+    every corpus version. An id already applied commits nothing and
+    returns None. ``positions=True`` stores each posting's
     token-position list so ``text_index_phrase`` serves phrase queries
     index-pruned (appends inherit the flag from the manifest)."""
     paths, n_docs, total_len = _write_buckets(
         docs, table_dir, num_buckets, positions
     )
-    if batch_id is None:
-        seed: list[str] = []
-    elif isinstance(batch_id, str):
-        seed = [batch_id]
-    else:
-        seed = list(batch_id)
     return commit_version(
         table_dir,
         paths,
@@ -259,16 +255,10 @@ def text_index_build(
                 "n_docs": n_docs,
                 "total_len": total_len,
                 "positions": positions,
-                "applied": seed,
             }
         },
+        batch_ids=[batch_id] if isinstance(batch_id, str) else batch_id,
     )
-
-
-def text_index_applied(table_dir: str) -> list[str]:
-    """Batch ids already folded into the index (the manifest-atomic
-    ledger — same exactly-once contract as ``state/ivm.py``)."""
-    return list(version_extra(table_dir).get("text_index", {}).get("applied", []))
 
 
 def _latest_meta(table_dir: str) -> tuple[int, dict]:
@@ -287,30 +277,6 @@ def _latest_meta(table_dir: str) -> tuple[int, dict]:
     return version, meta
 
 
-def text_index_mark_applied(
-    table_dir: str, batch_ids: list[str]
-) -> int | None:
-    """Extend the applied-batch ledger WITHOUT touching postings — a
-    zero-file append commit. The no-logical-delta path: a row-preserving
-    corpus compaction (``mode="compact"``) rewrites files but adds no
-    docs, so the fold records the version as applied and moves on
-    instead of re-indexing rewritten files (which would double-count
-    df/n_docs). Returns the committed version, or None when every id is
-    already applied."""
-    parent, meta = _latest_meta(table_dir)
-    applied = list(meta.get("applied", []))
-    fresh = [b for b in batch_ids if b not in applied]
-    if not fresh:
-        return None
-    return commit_version(
-        table_dir,
-        [],
-        mode="append",
-        extra={"text_index": {**meta, "applied": applied + fresh}},
-        expected_parent=parent,
-    )
-
-
 def text_index_append(
     docs: ray.data.Dataset, table_dir: str, batch_id: str | None = None
 ) -> int | None:
@@ -320,15 +286,13 @@ def text_index_append(
     double-count postings, like any append-only ingest).
 
     ``batch_id`` makes the append EXACTLY-ONCE across crash/replay:
-    the ledger of applied ids lives IN the manifest extra (atomic with
-    the posting files); a replayed id returns None without touching
-    the index. Returns the committed version otherwise. A concurrent
-    commit between reading the totals and committing raises
-    ``ConcurrentWriteError`` instead of overwriting its totals and
-    ledger entries."""
+    ``commit_version`` keeps the ledger of applied ids IN the manifest
+    (atomic with the posting files); a replayed id returns None without
+    touching the index. Returns the committed version otherwise. A
+    concurrent commit between reading the totals and committing raises
+    ``ConcurrentWriteError`` instead of overwriting its totals."""
     parent, meta = _latest_meta(table_dir)
-    applied = list(meta.get("applied", []))
-    if batch_id is not None and batch_id in applied:
+    if batch_id is not None and batch_id in applied_ids(table_dir, parent):
         return None
     paths, n_docs, total_len = _write_buckets(
         docs, table_dir, int(meta["num_buckets"]),
@@ -344,10 +308,10 @@ def text_index_append(
                 "n_docs": int(meta["n_docs"]) + n_docs,
                 "total_len": int(meta["total_len"]) + total_len,
                 "positions": bool(meta.get("positions", False)),
-                "applied": applied + ([batch_id] if batch_id else []),
             }
         },
         expected_parent=parent,
+        batch_ids=[batch_id] if batch_id else None,
     )
 
 
@@ -616,8 +580,8 @@ def text_index_delete(
     )
 
     snapshot_v, meta = _latest_meta(table_dir)
-    applied = list(meta.get("applied", []))
-    if batch_id is not None and batch_id in applied:
+    bids = [batch_id] if batch_id else None
+    if bids and batch_id in applied_ids(table_dir, snapshot_v):
         return None
     ids = collect_delete_ids(doc_ids, "doc_id", max_broadcast_ids)
     files = version_files(table_dir, snapshot_v)
@@ -631,8 +595,8 @@ def text_index_delete(
         # record the batch id (exactly-once) via a ledger-only commit,
         # or return None when there is nothing to record
         os.rmdir(data_dir)
-        if batch_id is not None:
-            return text_index_mark_applied(table_dir, [batch_id])
+        if bids:
+            return commit_version(table_dir, [], "append", batch_ids=bids)
         return None
     seen: dict[int, int] = {}
     for cap in captured:
@@ -652,9 +616,9 @@ def text_index_delete(
                 **meta,
                 "n_docs": n_docs,
                 "total_len": total_len,
-                "applied": applied + ([batch_id] if batch_id else []),
             }
         },
+        batch_ids=bids,
     )
 
 

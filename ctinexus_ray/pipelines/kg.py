@@ -345,16 +345,12 @@ def checkpoint_docs_kg(
         ).select_columns(KG_DOC_COLUMNS)
 
     def lineage_fn(table: pa.Table) -> dict:
-        def s(col):
-            return int(pa.compute.sum(table.column(col)).as_py() or 0)
-
-        return {
-            "docs": table.num_rows,
-            "triples": s("triples_count"),
-            "llm_input_tokens": s("llm_input_tokens"),
-            "llm_output_tokens": s("llm_output_tokens"),
-            "embed_tokens": s("embed_tokens"),
-        }
+        # the metrics table's counters, under its names: summed over
+        # shards they equal ``metrics_total`` of the same docs_kg
+        return {"docs": table.num_rows, **{
+            out: int(pa.compute.sum(table.column(col)).as_py() or 0)
+            for out, col in METRIC_SOURCES.items()
+        }}
 
     return run_resumable(
         input_files, docs_kg_dir, pipeline, reader=reader or read_cc,

@@ -32,10 +32,10 @@ full build's derive map (``kg.derive_partials``):
       metrics_view/   one-row Sum fold on the driver (``metrics_total``)
 
 Exactly-once: each table's manifest carries its own applied-shard
-ledger (``ivm_applied`` for the IVM views, ``kg_applied`` for the
-append tables), atomic with the data commit — a crash between two
-tables' commits leaves the next fold the shards that some tables still
-lack, and it folds them into exactly those tables. Incremental == full
+ledger, written by ``commit_version(batch_ids=...)`` atomically with
+the data commit — a crash between two tables' commits leaves the next
+fold the shards that some tables still lack, and it folds them into
+exactly those tables. Incremental == full
 recompute by the monoid-fold argument (pinned by
 tests/test_kg_incr.py on a 3-tick corpus against the ``kg.py``
 full-derivation oracle).
@@ -69,17 +69,14 @@ from ctinexus_ray.state.checkpoint import completed_partitions
 from ctinexus_ray.state.ivm import apply_delta
 from ctinexus_ray.state.tableformat import (
     ConcurrentWriteError,
+    applied_ids,
     commit_version,
     latest_version,
     read_version,
-    version_extra,
     version_files,
 )
 
-_LEDGER = "kg_applied"
-# view -> the manifest ledger key that lists its applied shards
-_LEDGERS = {"nodes": "ivm_applied", "triples": _LEDGER,
-            "edges": _LEDGER, "metrics": "ivm_applied"}
+_VIEWS = ("nodes", "triples", "edges", "metrics")
 _NODE_VALUE_COLS = {
     "entity_text": "max",
     "class_rank": "max",
@@ -105,36 +102,11 @@ def _bid(pid: str) -> str:
     return f"kgshard-{pid}"
 
 
-def _snapshot(table_dir: str) -> tuple[int | None, dict]:
-    """(latest version, its manifest extra) — the state a commit that
-    extends a ledger pins as its expected parent."""
-    parent = latest_version(table_dir)
-    return parent, version_extra(table_dir, parent) if parent is not None else {}
-
-
-def _append_files(
-    table_dir: str, files: list[str], bids: list[str], snapshot
-) -> int:
-    """Adopt task-written ``files`` into an append table with ONE
-    append commit whose manifest extends the ``kg_applied`` ledger by
-    ``bids``. The commit pins the version the ledger was read from, so a
-    concurrent append aborts it (``ConcurrentWriteError``) instead of
-    losing ledger entries; a crash before it leaves only orphan files
-    (vacuumable)."""
-    parent, extra = snapshot
-    ledger = list(extra.get(_LEDGER, [])) + bids
-    return commit_version(table_dir, files, mode="append",
-                          extra={**extra, _LEDGER: ledger},
-                          expected_parent=parent)
-
-
-def _fold_metrics(
-    view_dir: str, files: list[str], bids: list[str], snapshot
-) -> None:
+def _fold_metrics(view_dir: str, files: list[str], bids: list[str]) -> None:
     """The one-row metrics view folded on the driver: ``metrics_total``
     of the new shards summed with the current row, written as one file
-    and committed as ONE overwrite that extends ``ivm_applied``."""
-    parent, extra = snapshot
+    and committed as ONE overwrite pinned to the version it summed."""
+    parent = latest_version(view_dir)
     rows = [metrics_total(files)]
     if parent is not None:
         rows += [pq.read_table(f, columns=METRICS_SCHEMA.names)
@@ -148,9 +120,7 @@ def _fold_metrics(
     path = os.path.join(view_dir, f"data-{uuid.uuid4().hex[:12]}.parquet")
     os.makedirs(view_dir, exist_ok=True)
     pq.write_table(total, path)
-    ledger = list(extra.get("ivm_applied", [])) + bids
-    commit_version(view_dir, [path], mode="overwrite",
-                   extra={**extra, "ivm_applied": ledger},
+    commit_version(view_dir, [path], mode="overwrite", batch_ids=bids,
                    expected_parent=parent)
 
 
@@ -175,20 +145,18 @@ def fold_kg_derived(
     docs_kg, but O(view) bytes per tick."""
     config = config or PipelineConfig()
     shards = committed_kg_shards(os.path.join(out_dir, "docs_kg"))
-    dirs = {v: os.path.join(out_dir, f"{v}_view") for v in _LEDGERS}
-    applied = {v: set(_snapshot(d)[1].get(_LEDGERS[v], []))
-               for v, d in dirs.items()}
+    dirs = {v: os.path.join(out_dir, f"{v}_view") for v in _VIEWS}
+    applied = {v: set(applied_ids(d)) for v, d in dirs.items()}
     groups: dict[tuple[str, ...], list[tuple[str, str]]] = {}
     for pid, path in shards:
-        lacking = tuple(v for v in _LEDGERS if _bid(pid) not in applied[v])
+        lacking = tuple(v for v in _VIEWS if _bid(pid) not in applied[v])
         if lacking:
             groups.setdefault(lacking, []).append((pid, path))
 
     stats = {"kg_shards": len(shards), "nodes_files_rewritten": 0,
-             "nodes_files_kept": 0, **{f"{v}_folded": 0 for v in _LEDGERS}}
+             "nodes_files_kept": 0, **{f"{v}_folded": 0 for v in _VIEWS}}
     for lacking, todo in groups.items():
         files, bids = [f for _, f in todo], [_bid(p) for p, _ in todo]
-        snaps = {v: _snapshot(dirs[v]) for v in lacking}
         data_dirs = {v: os.path.join(dirs[v], f"data-{uuid.uuid4().hex[:12]}")
                      for v in ("triples", "edges") if v in lacking}
         for d in data_dirs.values():
@@ -205,7 +173,7 @@ def fold_kg_derived(
                     num_partitions=config.canon_num_partitions or None,
                     value_types=_NODE_VALUE_TYPES,
                 )
-                if not merged["applied"]:  # the pass never ran
+                if not merged["applied"]:  # another fold got there first
                     raise ConcurrentWriteError(
                         f"{dirs['nodes']}: shards folded concurrently"
                     )
@@ -215,9 +183,9 @@ def fold_kg_derived(
                 partials.materialize()  # the pass, for its files only
         for v, d in data_dirs.items():
             written = sorted(os.path.join(d, n) for n in os.listdir(d))
-            _append_files(dirs[v], written, bids, snaps[v])
+            commit_version(dirs[v], written, mode="append", batch_ids=bids)
         if "metrics" in lacking:
-            _fold_metrics(dirs["metrics"], files, bids, snaps["metrics"])
+            _fold_metrics(dirs["metrics"], files, bids)
         for v in lacking:
             stats[f"{v}_folded"] += len(todo)
     return stats

@@ -11,11 +11,13 @@ Views*, 1995).
 
 Exactly-once across crash/replay — the property that makes IVM usable
 from an at-least-once ingestion loop (jobs/stream_job.py replays ticks
-whose ledger write was lost): the set of applied ``batch_id``s lives IN
-the view's version manifest (``commit_version(extra=...)``), so the
-ledger is ATOMIC with the data commit. A replayed batch is recognized
-and skipped; there is no window where the delta is committed but the
-ledger isn't, or vice versa.
+whose ledger write was lost): every fold commits through
+``commit_version(batch_ids=...)``, whose applied-batch ledger lives IN
+the view's version manifest, ATOMIC with the data commit. A replayed
+batch is recognized and skipped; there is no window where the delta is
+committed but the ledger isn't, or vice versa. A fold reads the ledger,
+the view and the merge base from one pinned version, so a concurrent
+fold aborts it (``ConcurrentWriteError``) instead of being overwritten.
 
 Scale shape: the view is key-domain-sized (vocabulary, not corpus);
 the delta is tick-sized. One hash join delta<->view computes combined
@@ -34,45 +36,16 @@ import ray
 import ray.data
 
 from ctinexus_ray.state.tableformat import (
+    applied_ids,
+    extend_ledger,
     latest_version,
     merge_upsert,
     read_version,
-    version_extra,
+    version_files,
+    write_dataset_version,
 )
 
 _COMBINE = ("sum", "min", "max")
-
-
-def applied_batches(view_dir: str) -> list[str]:
-    """Batch ids already folded into the view (from the latest
-    manifest's extra — the atomic IVM ledger)."""
-    return list(version_extra(view_dir).get("ivm_applied", []))
-
-
-def mark_applied(view_dir: str, batch_ids: list[str]) -> int | None:
-    """Extend the applied-batch ledger WITHOUT a data delta — a
-    zero-file append commit. Used when a corpus version carries no
-    logical rows for the view (a row-preserving compaction, or an
-    append whose file diff is empty), so the fold loop stops
-    re-examining it every tick. Returns the committed version, or None
-    when nothing is new or the view has no versions yet (nothing to
-    anchor a ledger to — the caller just skips)."""
-    latest = latest_version(view_dir)
-    if latest is None:
-        return None
-    applied = list(version_extra(view_dir, latest).get("ivm_applied", []))
-    fresh = [b for b in batch_ids if b not in applied]
-    if not fresh:
-        return None
-    from ctinexus_ray.state.tableformat import commit_version
-
-    # the ledger was read from ``latest``: a concurrent commit aborts
-    # this one instead of dropping its ledger entries
-    return commit_version(
-        view_dir, [], mode="append",
-        extra={"ivm_applied": applied + fresh},
-        expected_parent=latest,
-    )
 
 
 def apply_delta(
@@ -107,7 +80,10 @@ def apply_delta(
     Returns {"applied": False} when ``batch_id`` is already in the
     view's manifest ledger (the crash-replay path); otherwise commits a
     new view version whose manifest carries the extended ledger and
-    returns merge stats + {"applied": True}.
+    returns merge stats + {"applied": True}. The ledger check, the view
+    side of the combine and the merge base are all the latest version
+    at entry: a fold that lands in between raises
+    ``ConcurrentWriteError`` and this one recomputes on retry.
     """
     for col, comb in value_cols.items():
         if comb not in _COMBINE:
@@ -119,37 +95,20 @@ def apply_delta(
     bids = [batch_id] if isinstance(batch_id, str) else list(batch_id)
     if not bids:
         raise ValueError("batch_id must name at least one batch")
-    applied = applied_batches(view_dir)
-    done = [b for b in bids if b in applied]
-    if done:
-        if len(done) != len(bids):
-            raise ValueError(
-                f"batch ids {done} already applied but {sorted(set(bids) - set(done))} "
-                "are not — a multi-batch delta must be all-or-nothing"
-            )
+    snapshot = latest_version(view_dir)
+    if extend_ledger(applied_ids(view_dir, snapshot), bids) is None:
         return {"applied": False, "batch_id": batch_id}
 
-    from ctinexus_ray.state.tableformat import version_files
-
-    head = latest_version(view_dir)
-    latest = head
-    if latest is not None and not version_files(view_dir, latest):
-        # a previous batch committed an EMPTY view (empty first delta):
-        # treat this one as the first — reading zero files is an error
-        latest = None
-
-    if latest is None:
-        # first batch: the delta IS the view. expected_parent pins the
-        # overwrite to the head this branch decided on — a concurrent
-        # first delta landing in between must not be silently replaced
-        from ctinexus_ray.state.tableformat import write_dataset_version
-
+    if snapshot is None or not version_files(view_dir, snapshot):
+        # first batch (or only EMPTY deltas so far — reading zero files
+        # is an error): the delta IS the view, an overwrite pinned to
+        # the snapshot, so a concurrent first delta is never replaced
         version, _ = write_dataset_version(
-            view_dir, delta, mode="overwrite",
-            extra={"ivm_applied": applied + bids},
-            expected_parent=head,
+            view_dir, delta, mode="overwrite", batch_ids=bids,
+            expected_parent=snapshot,
         )
-        return {"applied": True, "version": version, "batch_id": batch_id}
+        return {"applied": version is not None, "version": version,
+                "batch_id": batch_id}
 
     # combine the delta with current view values on intersecting keys:
     # join the VIEW side restricted to the delta's keys (semi-join by
@@ -170,9 +129,9 @@ def apply_delta(
     # pin the delta so the schema probe + join don't recompute the
     # caller's aggregation pipeline (delta is tick-sized by contract)
     delta = delta.materialize()
-    view_side = read_version(view_dir, columns=view_cols).map_batches(
-        rn, batch_format="pyarrow"
-    )
+    view_side = read_version(
+        view_dir, snapshot, columns=view_cols
+    ).map_batches(rn, batch_format="pyarrow")
     joined = hash_join(
         delta,
         view_side,
@@ -218,7 +177,9 @@ def apply_delta(
         key_col=key_col,
         num_partitions=num_partitions,
         assume_unique=True,  # delta is a per-key aggregate by contract
-        extra={"ivm_applied": applied + bids},
+        version=snapshot,
+        batch_ids=bids,
     )
-    stats.update({"applied": True, "batch_id": batch_id})
+    stats.update({"applied": stats["version"] is not None,
+                  "batch_id": batch_id})
     return stats

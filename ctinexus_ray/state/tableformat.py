@@ -113,6 +113,47 @@ def _align_to(schema):
     return align
 
 
+# the manifest key of the applied-batch ledger, and the per-caller keys
+# manifests kept it under before ``commit_version`` owned it
+_LEDGER = "applied"
+_OLD_LEDGERS = ("ivm_applied", "kg_applied", "webtext_applied")
+
+
+def _ledger_of(extra: dict) -> list[str]:
+    """The applied-batch ledger stored in a manifest's ``extra``. A
+    manifest written before the ledger had one key holds it under an
+    old per-caller key (or the text index's ``applied`` field); read
+    that instead, so an existing view or index never folds a batch
+    twice."""
+    if _LEDGER in extra:
+        return list(extra[_LEDGER])
+    old = [b for k in _OLD_LEDGERS for b in extra.get(k, [])]
+    return old + list(extra.get("text_index", {}).get(_LEDGER, []))
+
+
+def applied_ids(table_dir: str, version: int | None = None) -> list[str]:
+    """Batch ids already committed into the table as of ``version``
+    (latest when None) — the exactly-once ledger ``commit_version``
+    keeps in every manifest."""
+    return _ledger_of(version_extra(table_dir, version))
+
+
+def extend_ledger(ledger: list[str], batch_ids: list[str]) -> list[str] | None:
+    """``ledger`` plus ``batch_ids``, or None when every id is already
+    in it. A partly applied set raises: one data commit covering some
+    replayed batches would count them twice."""
+    done = [b for b in batch_ids if b in ledger]
+    if not done:
+        return ledger + list(batch_ids)
+    if len(done) != len(batch_ids):
+        raise ValueError(
+            f"batch ids {done} already applied but "
+            f"{sorted(set(batch_ids) - set(done))} are not — a "
+            "multi-batch commit must be all-or-nothing"
+        )
+    return None
+
+
 def commit_version(
     table_dir: str,
     files: list[str],
@@ -120,7 +161,8 @@ def commit_version(
     max_retries: int = 16,
     extra: dict | None = None,
     expected_parent=_UNSET,
-) -> int:
+    batch_ids: list[str] | None = None,
+) -> int | None:
     """Commit ``files`` (immutable parquet paths) as a new table
     version. ``append`` unions the current latest version's files;
     ``overwrite`` replaces the file set; ``compact`` is overwrite's
@@ -131,11 +173,21 @@ def commit_version(
     number. Optimistic concurrency: O_EXCL manifest creation — a racing
     committer retries against the winner's version. ``extra`` is an
     opaque JSON dict stored IN the manifest — metadata that must be
-    atomic with the data commit (e.g. the IVM applied-batch ledger:
-    state/ivm.py relies on manifest atomicity for exactly-once delta
-    application). ``extra=None`` INHERITS the parent's extra, so
-    ledger-bearing tables survive compaction/merge commits that don't
-    know about the metadata; pass ``{}`` to clear it explicitly.
+    atomic with the data commit (e.g. the text index's corpus totals).
+    ``extra=None`` INHERITS the parent's extra, so tables survive
+    compaction/merge commits that don't know about the metadata; pass
+    ``{}`` to clear it.
+
+    ``batch_ids`` makes the commit EXACTLY-ONCE: the ledger of applied
+    batch ids (``extra["applied"]``, read with ``applied_ids``) is read
+    from the parent this commit lands on, inside the retry loop. When
+    every id is already in it, nothing is committed and the call
+    returns None; a partly applied set raises ``ValueError``; otherwise
+    the new manifest's ledger is the parent's plus ``batch_ids``. Every
+    commit carries the parent's ledger forward whatever ``extra`` it
+    passes, so no caller can drop a racing commit's entry. A
+    ledger-only commit is ``commit_version(dir, [], "append",
+    batch_ids=[bid])``.
 
     ``expected_parent`` is the SNAPSHOT-ISOLATION guard for commits
     whose file set was COMPUTED FROM a specific version (merge_upsert,
@@ -151,6 +203,19 @@ def commit_version(
     os.makedirs(table_dir, exist_ok=True)
     for _ in range(max_retries):
         parent = latest_version(table_dir)
+        base = []
+        inherited = {}
+        if parent is not None:
+            with open(_manifest_path(table_dir, parent)) as fh:
+                pman = json.load(fh)
+            if mode == "append":
+                base = pman["files"]
+            inherited = pman.get("extra", {})
+        ledger = _ledger_of(inherited)
+        if batch_ids:
+            ledger = extend_ledger(ledger, list(batch_ids))
+            if ledger is None:
+                return None  # a replay: every batch is already in
         if expected_parent is not _UNSET and parent != expected_parent:
             raise ConcurrentWriteError(
                 f"{table_dir}: snapshot computed from version "
@@ -158,14 +223,6 @@ def commit_version(
                 "recompute from the new latest version"
             )
         version = 1 if parent is None else parent + 1
-        base = []
-        inherited = None
-        if parent is not None:
-            with open(_manifest_path(table_dir, parent)) as fh:
-                pman = json.load(fh)
-            if mode == "append":
-                base = pman["files"]
-            inherited = pman.get("extra")
         manifest = {
             "version": version,
             "parent": parent,
@@ -224,8 +281,16 @@ def commit_version(
             manifest["schema"] = _schema_to_json(union)
             manifest["schema_pool"] = pool
             manifest["file_schemas"] = fmap
-        chosen = extra if extra is not None else inherited
-        if chosen is not None:
+        # the ledger is only ever the one computed above
+        chosen = {k: v for k, v in (inherited if extra is None else extra)
+                  .items() if k not in (_LEDGER, *_OLD_LEDGERS)}
+        if _LEDGER in chosen.get("text_index", {}):
+            chosen["text_index"] = {
+                k: v for k, v in chosen["text_index"].items() if k != _LEDGER
+            }
+        if ledger:
+            chosen[_LEDGER] = ledger
+        if chosen:
             manifest["extra"] = chosen
         # write the FULL manifest to a private temp file first, then
         # os.link() it into place: link is atomic create-if-absent, so
@@ -397,12 +462,15 @@ def merge_upsert(
     num_partitions: int | None = None,
     assume_unique: bool = False,
     extra: dict | None = None,
+    version: int | None = None,
+    batch_ids: list[str] | None = None,
 ) -> dict:
-    """MERGE INTO the table's latest version: update rows replace base
-    rows with the same key, rows with new keys are inserted, and rows
-    flagged TRUE in ``delete_col`` remove the key (insert-flavored
-    deletes of absent keys are no-ops). Commits a new version; every
-    prior version stays readable (copy-on-write, files immutable).
+    """MERGE INTO the table's ``version`` (latest when None): update
+    rows replace base rows with the same key, rows with new keys are
+    inserted, and rows flagged TRUE in ``delete_col`` remove the key
+    (insert-flavored deletes of absent keys are no-ops). Commits a new
+    version; every prior version stays readable (copy-on-write, files
+    immutable).
 
     Scale shape (the Iceberg/Delta copy-on-write discipline):
 
@@ -419,7 +487,11 @@ def merge_upsert(
 
     Update keys must be unique (SQL MERGE's "multiple matching rows"
     error) — verified with one count reduce unless ``assume_unique``.
-    Returns {"version", "files_kept", "files_rewritten", "n_updates"}.
+    The commit is pinned to the merged version: a table that moved past
+    it raises ``ConcurrentWriteError``. ``batch_ids`` go to
+    ``commit_version``'s exactly-once ledger.
+    Returns {"version", "files_kept", "files_rewritten", "n_updates"}
+    ("version" None when every batch id was already applied).
     ``key_col`` must be int64-compatible.
     """
     import uuid
@@ -449,7 +521,7 @@ def merge_upsert(
                 "(SQL MERGE multiple-matching-rows error)"
             )
 
-    parent = latest_version(table_dir)
+    parent = latest_version(table_dir) if version is None else version
     base_files: list[str] = []
     if parent is not None:
         with open(_manifest_path(table_dir, parent)) as fh:
@@ -600,12 +672,13 @@ def merge_upsert(
         for n in os.listdir(data_dir)
         if n.endswith(".parquet")
     )
-    version = commit_version(
+    committed = commit_version(
         table_dir, kept + new_files, mode="overwrite", extra=extra,
         expected_parent=parent,  # snapshot guard: abort on concurrent commits
+        batch_ids=batch_ids,
     )
     return {
-        "version": version,
+        "version": committed,
         "files_kept": len(kept),
         "files_rewritten": len(base_files) - len(kept),
         "n_updates": n_updates,
@@ -918,15 +991,17 @@ def write_dataset_version(
     extra: dict | None = None,
     prefix: str = "data",
     expected_parent=_UNSET,
+    batch_ids: list[str] | None = None,
 ):
     """Execute a Dataset into a fresh immutable file set under the
-    table dir and commit it as ONE version — the write-then-commit
-    idiom shared by the IVM first-batch path, the wordcount rebuild,
-    the incremental-KG shard appends and the webtext corpus commit
-    (previously four hand-rolled copies). A crash between the write
-    and the commit leaves only an orphaned data dir (vacuumable);
-    an empty dataset commits an empty file list (ledger-only when
-    ``extra`` carries one). Returns ``(version, files)``."""
+    table dir and commit it as ONE version (``commit_version``'s
+    arguments pass through) — the write-then-commit idiom of the IVM
+    first-batch path, stream_job's corpus tick, LSH band and wordcount
+    rebuild commits, and the webtext corpus commit. A crash between
+    the write and the commit leaves only an orphaned data dir
+    (vacuumable); an empty dataset commits an empty file list.
+    Returns ``(version, files)``; version is None when every batch id
+    was already applied."""
     import uuid as _uuid
 
     data_dir = os.path.join(table_dir, f"{prefix}-{_uuid.uuid4().hex[:12]}")
@@ -939,6 +1014,6 @@ def write_dataset_version(
     )
     version = commit_version(
         table_dir, files, mode=mode, extra=extra,
-        expected_parent=expected_parent,
+        expected_parent=expected_parent, batch_ids=batch_ids,
     )
     return version, files

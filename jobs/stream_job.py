@@ -215,6 +215,14 @@ def _scan_unapplied_versions(
     return work, None
 
 
+def _unapplied_ids(latest: int, applied: set) -> list[str]:
+    """The batch ids of corpus versions 1..latest a view or index has
+    not applied — what a rebuild from the latest version adds to its
+    ledger, so the ledger then lists every version."""
+    return [b for v in range(1, latest + 1)
+            if (b := f"corpus-v{v}") not in applied]
+
+
 def _maintain_wordcount_view(
     table_dir: str, view_dir: str, num_partitions: int
 ) -> dict:
@@ -239,17 +247,19 @@ def _maintain_wordcount_view(
     from ctinexus_ray.ops.dedup import hash64_strings
     from ctinexus_ray.ops.groupagg import partitioned_agg
     from ctinexus_ray.ops.textstats import word_explode_batch
-    from ctinexus_ray.state.ivm import (
-        applied_batches,
-        apply_delta,
-        mark_applied,
+    from ctinexus_ray.state.ivm import apply_delta
+    from ctinexus_ray.state.tableformat import (
+        applied_ids,
+        commit_version,
+        latest_version,
+        read_version,
+        write_dataset_version,
     )
-    from ctinexus_ray.state.tableformat import latest_version, read_version
 
     latest = latest_version(table_dir)
     if latest is None:
         return {"wordcount_folded": 0}
-    applied = set(applied_batches(view_dir))
+    applied = set(applied_ids(view_dir))
 
     def with_wkey(batch: pa.Table) -> pa.Table:
         words = batch.column("word").to_pylist()
@@ -270,8 +280,6 @@ def _maintain_wordcount_view(
     if rebuild_reason is not None:
         import logging
 
-        from ctinexus_ray.state.tableformat import write_dataset_version
-
         logging.getLogger(__name__).warning(
             "wordcount view %s: full rebuild from corpus v%d (%s)",
             view_dir, latest, rebuild_reason,
@@ -280,16 +288,14 @@ def _maintain_wordcount_view(
             view_dir,
             wordcount_of(read_version(table_dir, columns=["text"])),
             mode="overwrite",
-            extra={
-                "ivm_applied": [f"corpus-v{i}" for i in range(1, latest + 1)]
-            },
+            batch_ids=_unapplied_ids(latest, applied),
         )
         return {"wordcount_folded": 1, "rebuilt": rebuild_reason}
 
     folded = 0
     for bid, kind, new_files in work:
         if kind == "noop":
-            mark_applied(view_dir, [bid])
+            commit_version(view_dir, [], "append", batch_ids=[bid])
             continue
         out = apply_delta(
             view_dir,
@@ -323,18 +329,19 @@ def _maintain_text_index(
     re-indexing their rewritten files."""
     import ray.data
 
-    from ctinexus_ray.ops.textindex import (
-        text_index_append,
-        text_index_applied,
-        text_index_build,
-        text_index_mark_applied,
+    from ctinexus_ray.ops.textindex import text_index_append, text_index_build
+    from ctinexus_ray.state.tableformat import (
+        applied_ids,
+        commit_version,
+        latest_version,
+        read_version,
+        version_extra,
     )
-    from ctinexus_ray.state.tableformat import latest_version, read_version
 
     latest = latest_version(table_dir)
     if latest is None:
         return {"text_index_folded": 0}
-    applied = set(text_index_applied(index_dir))
+    applied = set(applied_ids(index_dir))
     work, rebuild_reason = _scan_unapplied_versions(
         table_dir, latest, applied
     )
@@ -349,13 +356,11 @@ def _maintain_text_index(
         # a rebuild must preserve the prior index's shape — silently
         # dropping positions would make later phrase queries refuse,
         # and changing num_buckets would re-bucket for no reason
-        from ctinexus_ray.state.tableformat import version_extra
-
         prior = version_extra(index_dir).get("text_index", {})
         text_index_build(
             docs, index_dir,
             num_buckets=int(prior.get("num_buckets", 64)),
-            batch_id=[f"corpus-v{i}" for i in range(1, latest + 1)],
+            batch_id=_unapplied_ids(latest, applied),
             positions=bool(prior.get("positions", False)),
         )
         return {"text_index_folded": 1, "rebuilt": rebuild_reason}
@@ -364,7 +369,7 @@ def _maintain_text_index(
     for bid, kind, new_files in work:
         if kind == "noop":
             if latest_version(index_dir) is not None:
-                text_index_mark_applied(index_dir, [bid])
+                commit_version(index_dir, [], "append", batch_ids=[bid])
             continue
         docs = ray.data.read_parquet(new_files, columns=["doc_id", "text"])
         if latest_version(index_dir) is None:
@@ -526,9 +531,9 @@ def run_tick(
     from ctinexus_ray.sources.documents import ensure_doc_id
     from ctinexus_ray.sources.flatfiles import read_corpus_auto
     from ctinexus_ray.state.tableformat import (
-        commit_version,
         latest_version,
         read_version,
+        write_dataset_version,
     )
 
     ledger = _read_ledger(table_dir)
@@ -597,22 +602,12 @@ def run_tick(
             ds, table_dir, near_dup_threshold, num_partitions
         )
 
-    # a FRESH dir per invocation: deriving the name from ledger length
-    # would collide on crash-replay (ledger lost, dir not) and re-list
-    # the previous tick's files as this tick's output
-    import uuid
-
-    data_dir = os.path.join(table_dir, f"tick-{uuid.uuid4().hex[:12]}")
-    os.makedirs(data_dir)
-    ds.write_parquet(data_dir)
-    files = sorted(
-        os.path.join(data_dir, n)
-        for n in os.listdir(data_dir)
-        if n.endswith(".parquet")
-    )
+    # a FRESH tick-<uuid> dir per invocation: deriving the name from
+    # ledger length would collide on crash-replay (ledger lost, dir
+    # not) and re-list the previous tick's files as this tick's output
+    version, files = write_dataset_version(table_dir, ds, prefix="tick")
     rows_appended = sum(pq.read_metadata(f).num_rows for f in files)
-    version = commit_version(table_dir, files, mode="append")
-    if near_dup_threshold is not None and files:
+    if near_dup_threshold is not None and rows_appended:
         # index the COMMITTED survivors' band buckets (data first, index
         # second: a crash between loses only index coverage for this
         # tick — recoverable by reindexing — never table correctness;
@@ -620,21 +615,16 @@ def run_tick(
         # double-counts)
         from ctinexus_ray.ops.dedup import _minhash_rows
 
-        lsh_dir = os.path.join(table_dir, "lsh")
-        bands_dir = os.path.join(lsh_dir, f"tick-{os.path.basename(data_dir)}")
-        os.makedirs(bands_dir, exist_ok=True)
-        ray.data.read_parquet(files).select_columns(
-            ["doc_id", "text"]
-        ).map_batches(
-            lambda b: _minhash_rows(b, *_LSH_PARAMS), batch_format="pyarrow"
-        ).write_parquet(bands_dir)
-        band_files = sorted(
-            os.path.join(bands_dir, n)
-            for n in os.listdir(bands_dir)
-            if n.endswith(".parquet")
+        write_dataset_version(
+            os.path.join(table_dir, "lsh"),
+            ray.data.read_parquet(files).select_columns(
+                ["doc_id", "text"]
+            ).map_batches(
+                lambda b: _minhash_rows(b, *_LSH_PARAMS),
+                batch_format="pyarrow",
+            ),
+            prefix="tick",
         )
-        if band_files:
-            commit_version(lsh_dir, band_files, mode="append")
     view_stats = {}
     if wordcount_view:
         view_stats = _maintain_wordcount_view(

@@ -94,7 +94,11 @@ def commit_corpus(refined_dir: str, corpus_dir: str) -> dict:
     import ray.data
 
     from ctinexus_ray.sources.documents import ensure_doc_id
-    from ctinexus_ray.state.tableformat import commit_version, version_extra
+    from ctinexus_ray.state.tableformat import (
+        applied_ids,
+        latest_version,
+        write_dataset_version,
+    )
 
     files = sorted(glob.glob(os.path.join(refined_dir, "*.parquet")))
     if not files:
@@ -104,9 +108,7 @@ def commit_corpus(refined_dir: str, corpus_dir: str) -> dict:
         st = os.stat(f)
         h.update(f"{f}:{st.st_size}:{st.st_mtime_ns};".encode())
     bid = f"crawl-{h.hexdigest()}"
-    extra = dict(version_extra(corpus_dir))
-    applied = list(extra.get("webtext_applied", []))
-    if bid in applied:
+    if bid in applied_ids(corpus_dir):
         return {"batch_id": bid, "skipped": True, "files": len(files)}
 
     def normalize(batch: pa.Table) -> pa.Table:
@@ -125,11 +127,6 @@ def commit_corpus(refined_dir: str, corpus_dir: str) -> dict:
             }
         )
 
-    data_dir = os.path.join(corpus_dir, f"data-{bid}")
-    import shutil
-
-    shutil.rmtree(data_dir, ignore_errors=True)  # crashed prior attempt
-    os.makedirs(data_dir)
     # prune the read to what normalize consumes — refined shards carry
     # the raw crawl text/title columns this commit never touches
     import pyarrow.parquet as pq_mod
@@ -138,25 +135,18 @@ def commit_corpus(refined_dir: str, corpus_dir: str) -> dict:
     cols = ["url", "warc_ts", "lang_pred"] + (
         ["clean_text"] if "clean_text" in names else ["extracted_text"]
     )
-    ensure_doc_id(ray.data.read_parquet(files, columns=cols)).map_batches(
-        normalize, batch_format="pyarrow"
-    ).write_parquet(data_dir)
-    out_files = sorted(
-        os.path.join(data_dir, n)
-        for n in os.listdir(data_dir)
-        if n.endswith(".parquet")
-    )
-    extra["webtext_applied"] = applied + [bid]
-    from ctinexus_ray.state.tableformat import latest_version
-
     snapshot_v = latest_version(corpus_dir)
-    mode = "append" if snapshot_v is None else "overwrite"
-    version = commit_version(
-        corpus_dir, out_files, mode=mode, extra=extra,
+    version, out_files = write_dataset_version(
+        corpus_dir,
+        ensure_doc_id(ray.data.read_parquet(files, columns=cols)).map_batches(
+            normalize, batch_format="pyarrow"
+        ),
+        mode="append" if snapshot_v is None else "overwrite",
         expected_parent=snapshot_v,
+        batch_ids=[bid],
     )
     return {
-        "batch_id": bid, "skipped": False, "files": len(out_files),
+        "batch_id": bid, "skipped": version is None, "files": len(out_files),
         "version": version,
     }
 

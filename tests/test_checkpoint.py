@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -541,6 +542,128 @@ class TestTableFormat:
 
         with pytest.raises(FileNotFoundError):
             read_version(str(tmp_path / "nope"))
+
+
+class TestLedgeredCommit:
+    """commit_version(batch_ids=...): the one exactly-once batch ledger,
+    read from the parent each commit lands on."""
+
+    _write = staticmethod(TestTableFormat._write)
+
+    def test_replayed_id_commits_nothing(self, tmp_path):
+        from ctinexus_ray.state.tableformat import (
+            applied_ids,
+            commit_version,
+            latest_version,
+        )
+
+        t = str(tmp_path / "tbl")
+        a = self._write(tmp_path, "a.parquet", [1])
+        assert commit_version(t, [a], batch_ids=["b0"]) == 1
+        b = self._write(tmp_path, "b.parquet", [2])
+        assert commit_version(t, [b], batch_ids=["b0"]) is None
+        assert latest_version(t) == 1
+        assert [n for n in os.listdir(t) if n.endswith(".json")] == [
+            "manifest-v1.json"
+        ]
+        assert applied_ids(t) == ["b0"]
+
+    def test_partly_applied_ids_raise(self, tmp_path):
+        from ctinexus_ray.state.tableformat import (
+            applied_ids,
+            commit_version,
+            latest_version,
+        )
+
+        t = str(tmp_path / "tbl")
+        commit_version(t, [self._write(tmp_path, "a.parquet", [1])],
+                       batch_ids=["b0"])
+        with pytest.raises(ValueError, match="all-or-nothing"):
+            commit_version(t, [self._write(tmp_path, "b.parquet", [2])],
+                           batch_ids=["b0", "b1"])
+        assert latest_version(t) == 1 and applied_ids(t) == ["b0"]
+
+    def test_racing_appends_keep_both_ids(self, tmp_path, monkeypatch):
+        """An append that read version N as its parent loses the
+        manifest race to a concurrent append; its retry lands on N+1
+        and keeps the racer's ledger entry and rows."""
+        import pyarrow.parquet as pq
+
+        from ctinexus_ray.state import tableformat
+
+        t = str(tmp_path / "tbl")
+        tableformat.commit_version(
+            t, [self._write(tmp_path, "a.parquet", [1])], batch_ids=["a"]
+        )
+        real_latest = tableformat.latest_version
+
+        def latest_then_race(table_dir):
+            head = real_latest(table_dir)
+            monkeypatch.setattr(tableformat, "latest_version", real_latest)
+            tableformat.commit_version(
+                t, [self._write(tmp_path, "r.parquet", [2])],
+                batch_ids=["racer"],
+            )
+            return head
+
+        monkeypatch.setattr(tableformat, "latest_version", latest_then_race)
+        v = tableformat.commit_version(
+            t, [self._write(tmp_path, "b.parquet", [3])], batch_ids=["b"]
+        )
+        assert v == 3
+        assert tableformat.applied_ids(t) == ["a", "racer", "b"]
+        got = pq.read_table(tableformat.version_files(t, 3))
+        assert sorted(got.column("doc_id").to_pylist()) == [1, 2, 3]
+
+    def test_ledger_survives_any_extra(self, tmp_path):
+        from ctinexus_ray.state.tableformat import (
+            applied_ids,
+            commit_version,
+            version_extra,
+        )
+
+        t = str(tmp_path / "tbl")
+        commit_version(t, [self._write(tmp_path, "a.parquet", [1])],
+                       extra={"k": 1}, batch_ids=["b0"])
+        commit_version(t, [], extra={})  # clears k, keeps the ledger
+        commit_version(t, [], extra={"applied": ["forged"]})
+        assert applied_ids(t) == ["b0"]
+        assert version_extra(t, 2) == {"applied": ["b0"]}
+        assert commit_version(t, [], batch_ids=["b1"]) == 4  # ledger-only
+        assert applied_ids(t) == ["b0", "b1"] and applied_ids(t, 1) == ["b0"]
+
+    @pytest.mark.parametrize("old_extra", [
+        {"ivm_applied": ["b0", "b1"]},
+        {"text_index": {"n_docs": 2, "applied": ["b0", "b1"]}},
+    ])
+    def test_reads_manifest_written_before_one_ledger(
+        self, tmp_path, old_extra
+    ):
+        """A manifest from before commit_version owned the ledger keeps
+        it under a per-caller key; its ids still count as applied, and
+        the next commit moves them under the one key."""
+        import json
+
+        from ctinexus_ray.state.tableformat import (
+            applied_ids,
+            commit_version,
+            version_extra,
+        )
+
+        t = tmp_path / "view"
+        t.mkdir()
+        a = self._write(tmp_path, "a.parquet", [1])
+        (t / "manifest-v1.json").write_text(json.dumps({
+            "version": 1, "parent": None, "mode": "overwrite",
+            "files": [a], "extra": old_extra,
+        }))
+        assert applied_ids(str(t)) == ["b0", "b1"]
+        assert commit_version(str(t), [], batch_ids=["b1"]) is None
+        assert commit_version(str(t), [], batch_ids=["b2"]) == 2
+        extra = version_extra(str(t))
+        assert extra["applied"] == ["b0", "b1", "b2"]
+        assert "ivm_applied" not in extra
+        assert "applied" not in extra.get("text_index", {})
 
 
 class TestSchemaEvolution:

@@ -11,8 +11,8 @@ import pytest
 
 import ray
 
-from ctinexus_ray.state.ivm import applied_batches, apply_delta
-from ctinexus_ray.state.tableformat import read_version
+from ctinexus_ray.state.ivm import apply_delta
+from ctinexus_ray.state.tableformat import applied_ids, read_version
 
 BATCHES = [
     ["a b b c", "c c d"],
@@ -41,6 +41,18 @@ def _delta(texts):
     )
 
 
+def _counts(view):
+    return {r["word"]: r["n"] for r in read_version(view).take_all()}
+
+
+def _recompute(batches):
+    want = Counter()
+    for texts in batches:
+        for t in texts:
+            want.update(t.split())
+    return dict(want)
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestApplyDelta:
     def test_view_equals_full_recompute(self, tmp_path):
@@ -60,7 +72,7 @@ class TestApplyDelta:
             for t in texts:
                 want.update(t.split())
         assert got == dict(want)
-        assert applied_batches(view) == ["b0", "b1", "b2"]
+        assert applied_ids(view) == ["b0", "b1", "b2"]
 
     def test_replay_is_exactly_once(self, tmp_path):
         view = str(tmp_path / "wc")
@@ -135,7 +147,7 @@ class TestApplyDelta:
         for i, texts in enumerate(BATCHES):
             apply_delta(view, _delta(texts), "wkey", {"n": "sum"}, f"b{i}")
         compact_table(view)
-        assert applied_batches(view) == ["b0", "b1", "b2"]
+        assert applied_ids(view) == ["b0", "b1", "b2"]
         out = apply_delta(
             view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0"
         )
@@ -157,36 +169,72 @@ class TestApplyDelta:
                 landed.append(True)
                 tableformat.write_dataset_version(
                     table_dir, _delta(BATCHES[1]), mode="overwrite",
-                    extra={"ivm_applied": ["other"]}, expected_parent=head,
+                    batch_ids=["other"], expected_parent=head,
                 )
             return head
 
         monkeypatch.setattr(ivm, "latest_version", latest_then_race)
         with pytest.raises(tableformat.ConcurrentWriteError):
             apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0")
-        assert applied_batches(view) == ["other"]
+        assert applied_ids(view) == ["other"]
 
-    def test_overtaken_mark_applied_aborts(self, tmp_path, monkeypatch):
-        """A ledger-only commit computed from version N must not land on
-        top of a concurrent delta's version N+1 and drop its ledger
-        entry (a replay of that delta would then double count)."""
+    def test_overtaken_ledger_only_commit_keeps_both_entries(
+        self, tmp_path, monkeypatch
+    ):
+        """A ledger-only commit (a corpus version with no rows for the
+        view) racing a delta's commit: both ledger entries survive, so
+        a replay of either batch is recognized."""
+        from ctinexus_ray.state import tableformat
+
+        view = str(tmp_path / "wc")
+        apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0",
+                    num_partitions=16)
+        real_latest = tableformat.latest_version
+
+        def latest_then_race(table_dir):
+            head = real_latest(table_dir)
+            monkeypatch.setattr(tableformat, "latest_version", real_latest)
+            apply_delta(view, _delta(BATCHES[1]), "wkey", {"n": "sum"},
+                        "b1", num_partitions=16)
+            return head
+
+        monkeypatch.setattr(tableformat, "latest_version", latest_then_race)
+        assert tableformat.commit_version(
+            view, [], "append", batch_ids=["compact-v2"]
+        ) == 3
+        assert applied_ids(view) == ["b0", "b1", "compact-v2"]
+        assert _counts(view) == _recompute(BATCHES[:2])
+
+    def test_overtaken_merge_aborts_instead_of_losing_update(
+        self, tmp_path, monkeypatch
+    ):
+        """A fold whose ledger check and view read saw version N must
+        not merge onto a concurrent fold's version N+1: its combined
+        counts miss the racer's delta, so committing them would drop
+        the racer's rows and ledger entry."""
         from ctinexus_ray.state import ivm, tableformat
 
         view = str(tmp_path / "wc")
         apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0",
                     num_partitions=16)
-        real_commit = tableformat.commit_version
+        real_merge = ivm.merge_upsert
 
         def overtaken(*args, **kwargs):
-            monkeypatch.setattr(tableformat, "commit_version", real_commit)
+            monkeypatch.setattr(ivm, "merge_upsert", real_merge)
             apply_delta(view, _delta(BATCHES[1]), "wkey", {"n": "sum"},
                         "b1", num_partitions=16)
-            return real_commit(*args, **kwargs)
+            return real_merge(*args, **kwargs)
 
-        monkeypatch.setattr(tableformat, "commit_version", overtaken)
+        monkeypatch.setattr(ivm, "merge_upsert", overtaken)
         with pytest.raises(tableformat.ConcurrentWriteError):
-            ivm.mark_applied(view, ["compact-v2"])
-        assert applied_batches(view) == ["b0", "b1"]
+            apply_delta(view, _delta(BATCHES[2]), "wkey", {"n": "sum"},
+                        "b2", num_partitions=16)
+        assert applied_ids(view) == ["b0", "b1"]
+        assert _counts(view) == _recompute(BATCHES[:2])
+        # the aborted batch retries cleanly on top of the racer
+        apply_delta(view, _delta(BATCHES[2]), "wkey", {"n": "sum"}, "b2",
+                    num_partitions=16)
+        assert _counts(view) == _recompute(BATCHES)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -244,4 +292,4 @@ class TestHLLView:
         for t in BATCHES[0]:
             want.update(t.split())
         assert got == dict(want)
-        assert applied_batches(view) == ["b0", "b1"]
+        assert applied_ids(view) == ["b0", "b1"]

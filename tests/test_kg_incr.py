@@ -18,8 +18,8 @@ from ctinexus_ray.pipelines.kg_incr import (
 from ctinexus_ray.sources.synth import write_cc_corpus
 from ctinexus_ray.stages.triples import edges_batch, explode_triples_batch
 from ctinexus_ray.state.tableformat import (
+    applied_ids,
     read_version,
-    version_extra,
     version_files,
 )
 
@@ -102,12 +102,9 @@ def _assert_views_match_full(out, config):
     want_metrics = _sorted_df(_metrics_oracle(out))
     pd.testing.assert_frame_equal(got_metrics, want_metrics)
 
-    for view, key in [("nodes_view", "ivm_applied"),
-                      ("triples_view", "kg_applied"),
-                      ("edges_view", "kg_applied"),
-                      ("metrics_view", "ivm_applied")]:
-        ledger = version_extra(f"{out}/{view}")[key]
-        assert len(ledger) == len(set(ledger)), view
+    for view in ("nodes_view", "triples_view", "edges_view", "metrics_view"):
+        ledger = applied_ids(f"{out}/{view}")
+        assert ledger and len(ledger) == len(set(ledger)), view
 
 
 class TestIncrementalEqualsFull:
@@ -164,43 +161,42 @@ class TestIncrementalEqualsFull:
 
 
 class TestShardMapRace:
-    def test_overtaken_append_aborts_instead_of_dropping_ledger(
-        self, tmp_path
+    def test_racing_shard_appends_keep_both_ledger_entries(
+        self, tmp_path, monkeypatch
     ):
-        """An append commit whose ledger was read from version N must
-        not commit over a concurrent append's version N+1: the racer's
-        shards would vanish from the ledger and fold twice on replay."""
+        """A shard append that read version N as its parent must not
+        drop a concurrent append's version N+1: the racer's shards would
+        vanish from the ledger and fold twice on replay. The loser
+        retries on N+1 and keeps both; a replay commits nothing."""
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from ctinexus_ray.pipelines.kg_incr import (
-            _append_files,
-            _bid,
-            _snapshot,
-        )
-        from ctinexus_ray.state.tableformat import ConcurrentWriteError
+        from ctinexus_ray.pipelines.kg_incr import _bid
+        from ctinexus_ray.state import tableformat
 
         table = str(tmp_path / "triples_view")
 
-        def append(pid, snapshot=None):
+        def append(pid):
             path = str(tmp_path / f"triples-{pid}.parquet")
             pq.write_table(pa.table({"url": [f"http://{pid}"]}), path)
-            return _append_files(
-                table, [path], [_bid(pid)], snapshot or _snapshot(table)
+            return tableformat.commit_version(
+                table, [path], "append", batch_ids=[_bid(pid)]
             )
 
         append("a")
-        stale = _snapshot(table)  # "b" reads the ledger ...
-        append("racer")  # ... the racer commits while "b" derives
-        with pytest.raises(ConcurrentWriteError):
-            append("b", stale)
-        ledger = version_extra(table)["kg_applied"]
-        assert ledger == [_bid("a"), _bid("racer")]
-        assert append("b") == 3  # the retry folds once
-        assert version_extra(table)["kg_applied"] == [
-            _bid("a"), _bid("racer"), _bid("b")
-        ]
+        real_latest = tableformat.latest_version
+
+        def latest_then_race(table_dir):
+            head = real_latest(table_dir)  # "b" reads its parent ...
+            monkeypatch.setattr(tableformat, "latest_version", real_latest)
+            append("racer")  # ... the racer commits while "b" commits
+            return head
+
+        monkeypatch.setattr(tableformat, "latest_version", latest_then_race)
+        assert append("b") == 3
+        assert applied_ids(table) == [_bid("a"), _bid("racer"), _bid("b")]
         assert pq.read_table(version_files(table, 3)).num_rows == 3
+        assert append("b") is None  # a replay folds once
 
 
 class TestCrashBetweenCommits:

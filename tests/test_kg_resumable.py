@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ctinexus_ray.pipelines.kg import METRIC_COLUMNS, metrics_total
 from ctinexus_ray.pipelines.kg_incr import run_kg_incremental
 from ctinexus_ray.sources.synth import write_cc_corpus
 from ctinexus_ray.state.tableformat import read_version
@@ -30,12 +31,18 @@ def test_resume_skips_committed_shards(corpus_files, tmp_path, ray_session, conf
     # lineage sidecars carry per-shard metrics
     sidecars = sorted(Path(first["docs_kg"]).glob("_SUCCESS.*.json"))
     assert len(sidecars) == 3
-    for path in sidecars:
-        rec = json.loads(path.read_text())
+    recs = [json.loads(path.read_text()) for path in sidecars]
+    for rec in recs:
         assert rec["docs"] == 20
         assert rec["triples"] > 0
         assert rec["llm_input_tokens"] > 0
         assert "wall_time_s" in rec
+    # ... under the metrics table's names: summed over shards, every
+    # counter equals the metrics row of the same docs_kg
+    (total,) = metrics_total(first["docs_kg"]).to_pylist()
+    assert {c: sum(rec[c] for rec in recs) for c in METRIC_COLUMNS} == {
+        c: total[c] for c in METRIC_COLUMNS
+    }
 
     # final outputs cover the whole corpus
     triples = read_version(first["triples_view"])

@@ -14,6 +14,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "jobs"))
 
 from stream_job import run_tick  # noqa: E402
 
+from ctinexus_ray.state.tableformat import applied_ids  # noqa: E402
+
 
 def _shard(path, ids):
     pq.write_table(
@@ -273,10 +275,7 @@ class TestTextIndexMaintenance:
     def test_incremental_index_equals_full_scan(self, ray_session, tmp_path):
         import ray.data
 
-        from ctinexus_ray.ops.textindex import (
-            text_index_applied,
-            text_index_search,
-        )
+        from ctinexus_ray.ops.textindex import text_index_search
         from ctinexus_ray.ops.textstats import bm25_topk_docs
         from jobs.stream_job import run_tick
 
@@ -292,7 +291,7 @@ class TestTextIndexMaintenance:
         self._shard(inp / "s2.parquet", [3, 4], t2)
         s2 = run_tick(str(inp), table, num_partitions=4, text_index=index)
         assert s2["text_index_folded"] == 1
-        assert text_index_applied(index) == ["corpus-v1", "corpus-v2"]
+        assert applied_ids(index) == ["corpus-v1", "corpus-v2"]
 
         full = ray.data.from_items(
             [
@@ -306,10 +305,7 @@ class TestTextIndexMaintenance:
         assert got == want
 
     def test_replayed_fold_is_skipped(self, ray_session, tmp_path):
-        from ctinexus_ray.ops.textindex import (
-            text_index_applied,
-            text_index_search,
-        )
+        from ctinexus_ray.ops.textindex import text_index_search
         from jobs.stream_job import _maintain_text_index, run_tick
 
         inp = tmp_path / "in"
@@ -322,7 +318,7 @@ class TestTextIndexMaintenance:
         # replaying the fold (crash-after-commit path) must be a no-op
         out = _maintain_text_index(table, index, 4)
         assert out["text_index_folded"] == 0
-        assert text_index_applied(index) == ["corpus-v1"]
+        assert applied_ids(index) == ["corpus-v1"]
         assert text_index_search(index, ["hash"], k=5).to_pydict() == before
 
 
@@ -350,12 +346,8 @@ class TestFoldVsTableLifecycle:
         full-scan twin."""
         import ray.data
 
-        from ctinexus_ray.ops.textindex import (
-            text_index_applied,
-            text_index_search,
-        )
+        from ctinexus_ray.ops.textindex import text_index_search
         from ctinexus_ray.ops.textstats import bm25_topk_docs
-        from ctinexus_ray.state.ivm import applied_batches
         from ctinexus_ray.state.tableformat import (
             compact_table,
             version_extra,
@@ -384,8 +376,8 @@ class TestFoldVsTableLifecycle:
         assert s["text_index_folded"] == 0
         assert s["wordcount_folded"] == 0
         bid = f"corpus-v{out['version']}"
-        assert bid in text_index_applied(index)
-        assert bid in applied_batches(view)
+        assert bid in applied_ids(index)
+        assert bid in applied_ids(view)
         after = version_extra(index).get("text_index")
         assert after["n_docs"] == before["n_docs"] == 3
         assert after["total_len"] == before["total_len"]
@@ -407,12 +399,8 @@ class TestFoldVsTableLifecycle:
         raising on every tick forever."""
         import ray.data
 
-        from ctinexus_ray.ops.textindex import (
-            text_index_applied,
-            text_index_search,
-        )
+        from ctinexus_ray.ops.textindex import text_index_search
         from ctinexus_ray.ops.textstats import bm25_topk_docs
-        from ctinexus_ray.state.ivm import applied_batches
         from ctinexus_ray.state.tableformat import vacuum
         from jobs.stream_job import run_tick
 
@@ -432,8 +420,8 @@ class TestFoldVsTableLifecycle:
         s = run_tick(str(inp), table, 4, text_index=index, wordcount_view=view)
         assert s["text_index_folded"] == 1 and "rebuilt" in s
         assert s["wordcount_folded"] == 1
-        assert text_index_applied(index) == ["corpus-v1", "corpus-v2"]
-        assert set(applied_batches(view)) == {"corpus-v1", "corpus-v2"}
+        assert applied_ids(index) == ["corpus-v1", "corpus-v2"]
+        assert set(applied_ids(view)) == {"corpus-v1", "corpus-v2"}
 
         full = ray.data.from_items(
             [{"doc_id": i + 1, "text": t} for i, t in enumerate(t1 + t2)]

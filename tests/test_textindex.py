@@ -118,12 +118,11 @@ class TestTextIndexCompaction:
     def test_compaction_preserves_ledger_and_results(self, ray_session, tmp_path):
         from ctinexus_ray.ops.textindex import (
             text_index_append,
-            text_index_applied,
             text_index_build,
             text_index_search,
         )
         from ctinexus_ray.ops.textstats import bm25_topk_docs
-        from ctinexus_ray.state.tableformat import compact_table
+        from ctinexus_ray.state.tableformat import applied_ids, compact_table
 
         d = str(tmp_path / "ti")
         ds1 = ray.data.from_arrow(_docs_tbl(TEXTS[:3]))
@@ -136,7 +135,7 @@ class TestTextIndexCompaction:
         out = compact_table(d, target_bytes=1 << 30, min_files=2)
         assert out.get("version") is not None  # a compaction happened
         # manifest-extra inheritance: the ledger survives the compaction
-        assert text_index_applied(d) == ["b1", "b2"]
+        assert applied_ids(d) == ["b1", "b2"]
         # replayed append after compaction is still a no-op
         assert text_index_append(
             ray.data.from_arrow(_docs_tbl(["x y z"])), d, batch_id="b2"
@@ -641,6 +640,7 @@ class TestConcurrentAppend:
         from ctinexus_ray.ops import textindex as ti
         from ctinexus_ray.state.tableformat import (
             ConcurrentWriteError,
+            applied_ids,
             version_extra,
         )
 
@@ -666,45 +666,43 @@ class TestConcurrentAppend:
                 ray.data.from_arrow(_docs_tbl(["late doc"], start_id=10)), d,
                 batch_id="b1",
             )
-        meta = version_extra(d)["text_index"]
-        assert meta["applied"] == ["b0", "b_racer"]
-        assert meta["n_docs"] == len(TEXTS)
+        assert applied_ids(d) == ["b0", "b_racer"]
+        assert version_extra(d)["text_index"]["n_docs"] == len(TEXTS)
         # the aborted batch retries cleanly on top of the winner
         ti.text_index_append(
             ray.data.from_arrow(_docs_tbl(["late doc"], start_id=10)), d,
             batch_id="b1",
         )
-        meta = version_extra(d)["text_index"]
-        assert meta["applied"] == ["b0", "b_racer", "b1"]
-        assert meta["n_docs"] == len(TEXTS) + 1
+        assert applied_ids(d) == ["b0", "b_racer", "b1"]
+        assert version_extra(d)["text_index"]["n_docs"] == len(TEXTS) + 1
 
-    def test_overtaken_mark_applied_aborts(
+    def test_overtaken_ledger_only_commit_keeps_both_entries(
         self, ray_session, tmp_path, monkeypatch
     ):
+        """A ledger-only commit (a corpus compaction: no postings)
+        racing an append: both ledger entries and the append's totals
+        survive."""
         from ctinexus_ray.ops import textindex as ti
-        from ctinexus_ray.state.tableformat import (
-            ConcurrentWriteError,
-            version_extra,
-        )
+        from ctinexus_ray.state import tableformat
 
         d = str(tmp_path / "ti")
         ti.text_index_build(
             ray.data.from_arrow(_docs_tbl(TEXTS[:3])), d, num_buckets=8,
             batch_id="b0",
         )
-        real = ti.commit_version
+        real_latest = tableformat.latest_version
 
-        def overtaken(*args, **kwargs):
-            monkeypatch.setattr(ti, "commit_version", real)
+        def latest_then_race(table_dir):
+            head = real_latest(table_dir)
+            monkeypatch.setattr(tableformat, "latest_version", real_latest)
             ti.text_index_append(
                 ray.data.from_arrow(_docs_tbl(TEXTS[3:], start_id=3)), d,
                 batch_id="b_racer",
             )
-            return real(*args, **kwargs)
+            return head
 
-        monkeypatch.setattr(ti, "commit_version", overtaken)
-        with pytest.raises(ConcurrentWriteError):
-            ti.text_index_mark_applied(d, ["compact-v2"])
-        meta = version_extra(d)["text_index"]
-        assert meta["applied"] == ["b0", "b_racer"]
+        monkeypatch.setattr(tableformat, "latest_version", latest_then_race)
+        tableformat.commit_version(d, [], "append", batch_ids=["compact-v2"])
+        assert tableformat.applied_ids(d) == ["b0", "b_racer", "compact-v2"]
+        meta = tableformat.version_extra(d)["text_index"]
         assert meta["n_docs"] == len(TEXTS)

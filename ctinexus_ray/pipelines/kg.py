@@ -3,12 +3,11 @@
     read_parquet(documents)                    # S1, column-pruned
       -> map_batches(extract_batch)            # E0-E3, stateless, drops html
       -> map_batches(KGDocStage, concurrency)  # IE+ET+EA+LP fused task map
-      -> write_parquet(docs_kg)                # the checkpoint
-    read_parquet(docs_kg)                      # ONE derive execution
-      -> derive_partials                       # explode -> edges; both written
-                                               # task-side; entity partials out
+      -> derive_partials                       # docs_kg, triples, edges: all
+                                               # written task-side; entity
+                                               # partials out
       -> partitioned_agg(entity_key)           # THE wide shuffle
-      -> write_parquet(nodes)
+      -> write_parquet(nodes)                  # ONE execution end to end
     docs_kg counters -> one streaming Arrow scan -> metrics (one row)
 
 Everything streams; nothing materializes the corpus. The only all-to-all
@@ -223,38 +222,48 @@ def run_kg_to_parquet(
     config: PipelineConfig | None = None,
     demos: list[dict] | None = None,
 ) -> dict[str, str]:
-    """Execute the expensive per-doc stages ONCE, checkpointing their
-    output to parquet on disk (not the object store); triples / nodes /
-    edges / metrics all derive from re-reading that checkpoint, so the
-    LLM stages never run twice and nothing corpus-sized is pinned in
-    memory."""
-    from pathlib import Path
+    """The one-shot build as ONE Ray Data execution: the KG task map
+    feeds ``derive_partials``, whose tasks write the docs_kg, triples
+    and edges files and whose entity partials feed the canonicalization
+    reduce and the nodes write; then ``metrics_total`` scans the docs_kg
+    counters on the driver. An empty corpus leaves every output
+    directory empty. The resumable path (``checkpoint_docs_kg`` +
+    ``kg_incr.fold_kg_derived``) checkpoints first instead, so a failed
+    reduce there never redoes LLM work."""
+    import uuid
 
     config = config or PipelineConfig()
-    out = Path(out_dir)
-    extracted = extract_documents(documents, config)
-    kg = run_kg_stage(extracted, config, demos)
-
-    docs_kg_path = str(out / "docs_kg")
-    kg.select_columns(KG_DOC_COLUMNS).write_parquet(docs_kg_path)
-    os.makedirs(docs_kg_path, exist_ok=True)  # Ray writes none for no rows
-
-    paths = _write_derived_outputs(docs_kg_path, out, config)
-    return {"docs_kg": docs_kg_path, **paths}
+    paths = {name: os.path.join(out_dir, name)
+             for name in ("docs_kg", "triples", "nodes", "edges", "metrics")}
+    for path in paths.values():
+        os.makedirs(path, exist_ok=True)  # Ray writes none for no rows
+    kg = run_kg_stage(extract_documents(documents, config), config, demos)
+    partials = derive_partials(kg, paths["triples"], paths["edges"], config,
+                               docs_kg_dir=paths["docs_kg"])
+    reduce_entity_partials(partials, config).map_batches(
+        strip_class_rank_batch, batch_format="pyarrow"
+    ).write_parquet(paths["nodes"])
+    total = metrics_total(paths["docs_kg"])
+    if total.num_rows:
+        pq.write_table(total, os.path.join(paths["metrics"], f"{uuid.uuid4().hex}.parquet"))
+    return paths
 
 
 def derive_batch(
-    batch: pa.Table, triples_dir: str | None, edges_dir: str | None,
-    token: str, task_idx: int, ordinal: int,
+    batch: pa.Table, docs_kg_dir: str | None, triples_dir: str | None,
+    edges_dir: str | None, token: str, task_idx: int, ordinal: int,
 ) -> pa.Table:
-    """One docs_kg batch of the derive pass: explode its triples once,
-    map them to edges, write both as ``<token>_<task>_<ordinal>.parquet``
-    under ``triples_dir`` / ``edges_dir`` (nothing for a batch with no
-    triple, nor for a dir given as None), and return the batch's entity
-    partials for the canonicalization reduce."""
+    """One docs_kg batch of the derive pass: write it as
+    ``<token>_<task>_<ordinal>.parquet`` under ``docs_kg_dir``, explode
+    its triples once, map them to edges, write both under the same name
+    in ``triples_dir`` / ``edges_dir`` (nothing for a batch with no row
+    or no triple, nor for a dir given as None), and return the batch's
+    entity partials for the canonicalization reduce."""
+    name = f"{token}_{task_idx:06d}_{ordinal:06d}.parquet"
+    if docs_kg_dir is not None and batch.num_rows:
+        pq.write_table(batch, os.path.join(docs_kg_dir, name))
     triples = explode_triples_batch(batch)
     if triples.num_rows:
-        name = f"{token}_{task_idx:06d}_{ordinal:06d}.parquet"
         if triples_dir is not None:
             pq.write_table(triples, os.path.join(triples_dir, name))
         if edges_dir is not None:
@@ -263,15 +272,18 @@ def derive_batch(
 
 
 def derive_partials(
-    docs_kg: str | list[str], triples_dir: str | None,
+    docs_kg: str | list[str] | ray.data.Dataset, triples_dir: str | None,
     edges_dir: str | None, config: PipelineConfig,
+    docs_kg_dir: str | None = None,
 ) -> ray.data.Dataset:
-    """THE derive map over the docs_kg parquet at ``docs_kg`` (a
-    directory or a list of shard files), shared by the full build and
-    the incremental fold: its tasks write the triples and edges files
-    themselves (``derive_batch``) and it yields the entity partials for
-    ``reduce_entity_partials``. Lazy: the files exist once the returned
-    dataset has executed.
+    """THE derive map, shared by the full build and the incremental
+    fold, over ``docs_kg``: the docs_kg parquet at a directory or a list
+    of shard files (the fold), or a Dataset of KG rows (the one-shot
+    build, whose tasks also write those rows' ``KG_DOC_COLUMNS`` as the
+    docs_kg files under ``docs_kg_dir``). Its tasks write the triples
+    and edges files themselves (``derive_batch``) and it yields the
+    entity partials for ``reduce_entity_partials``. Lazy: the files
+    exist once the returned dataset has executed.
 
     Task-side file names are ``<plan token>_<task index>_<batch
     ordinal>``: a retried task re-runs the same input batches in the
@@ -288,39 +300,15 @@ def derive_partials(
     def derive(batch: pa.Table) -> pa.Table:
         ctx = TaskContext.get_current()
         ordinal = ctx.kwargs[token] = ctx.kwargs.get(token, -1) + 1
-        return derive_batch(batch, triples_dir, edges_dir,
+        return derive_batch(batch, docs_kg_dir, triples_dir, edges_dir,
                             token, ctx.task_idx, ordinal)
 
-    return ray.data.read_parquet(docs_kg, columns=DERIVE_COLUMNS).map_batches(
+    columns = DERIVE_COLUMNS if docs_kg_dir is None else KG_DOC_COLUMNS
+    ds = (docs_kg.select_columns(columns) if isinstance(docs_kg, ray.data.Dataset)
+          else ray.data.read_parquet(docs_kg, columns=columns))
+    return ds.map_batches(
         derive, batch_format="pyarrow", batch_size=config.cpu_batch_size
     )
-
-
-def _write_derived_outputs(docs_kg_path: str, out, config: PipelineConfig) -> dict[str, str]:
-    """Derive triples / nodes / edges / metrics from the docs_kg
-    checkpoint in ONE Ray Data execution: one read of the checkpoint,
-    one derive map (``derive_partials``) whose tasks write the triples
-    and edges files themselves and hand the entity partials on to the
-    canonicalization reduce and the nodes write. Metrics come from one
-    streaming scan of the counter columns (``metrics_total``).
-
-    An empty corpus leaves every output directory empty (no metrics
-    row, as ``metrics_total`` has none)."""
-    import uuid
-
-    paths = {name: str(out / name) for name in ("triples", "nodes", "edges", "metrics")}
-    for path in paths.values():
-        os.makedirs(path, exist_ok=True)
-    total = metrics_total(docs_kg_path)
-    if not total.num_rows:
-        return paths
-    pq.write_table(total, os.path.join(paths["metrics"], f"{uuid.uuid4().hex}.parquet"))
-
-    partials = derive_partials(docs_kg_path, paths["triples"], paths["edges"], config)
-    reduce_entity_partials(partials, config).map_batches(
-        strip_class_rank_batch, batch_format="pyarrow"
-    ).write_parquet(paths["nodes"])
-    return paths
 
 
 def checkpoint_docs_kg(

@@ -2,12 +2,11 @@
 edges / metrics) — IVM for the cross-document canonicalization.
 
 Re-deriving every output from the FULL ``docs_kg`` checkpoint on each
-run (``kg._write_derived_outputs``: one derive execution plus one
-counter scan) is idempotent, but the
-canonicalization re-shuffle is O(corpus) per ingestion tick — the wrong
-shape at 10^12 docs where a tick adds a few shards to thousands. The
-entity aggregates are exactly the monoid forms ``state/ivm.py`` folds
-exactly-once:
+run (a derive pass over every shard plus one counter scan) is
+idempotent, but the canonicalization re-shuffle is O(corpus) per
+ingestion tick — the wrong shape at 10^12 docs where a tick adds a few
+shards to thousands. The entity aggregates are exactly the monoid
+forms ``state/ivm.py`` folds exactly-once:
 
   * ``doc_count`` / ``mention_count`` — Sum
   * ``entity_text`` — Max over per-doc canonical variants

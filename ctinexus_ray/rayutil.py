@@ -38,9 +38,10 @@ Ray Data's default ``ReservationOpResourceAllocator`` (Ray 2.49,
 operators still running, raises each reservation to the operator's
 minimum (one task: 1 CPU), and shares out only what is left. An
 operator runs more tasks than its reservation pays for only out of
-that shared pool. The ``docs_kg`` plan has 4 operators (ReadParquet,
-``MapBatches(extract_batch)``, ``MapBatches(KGDocStage)``,
-``Project->Write``); on 4 CPUs:
+that shared pool. The KG build's ``docs_kg`` plan had 4 operators
+(ReadParquet, extract, ``MapBatches(KGDocStage)``, ``Project->Write``;
+the derive map, reduce and nodes write now follow in the same
+execution); on 4 CPUs:
 
     0.5 x 4 CPUs / 4 ops = 0.5 CPU each -> raised to 1 CPU each
     4 x 1 CPU reserved                  -> 0 CPUs shared

@@ -364,6 +364,12 @@ def read_version(
             raise FileNotFoundError(f"no manifests in {table_dir}")
     with open(_manifest_path(table_dir, version)) as fh:
         manifest = json.load(fh)
+    if not manifest["files"]:
+        # a ledger-only commit or an empty tick: no rows and no schema
+        # recorded, so a requested column reads as null-typed
+        import pyarrow as pa
+
+        return ray.data.from_arrow(pa.table({c: pa.nulls(0) for c in columns or []}))
     kwargs: dict = {}
     if columns is not None:
         kwargs["columns"] = columns

@@ -533,6 +533,7 @@ def run_tick(
     from ctinexus_ray.state.tableformat import (
         latest_version,
         read_version,
+        version_files,
         write_dataset_version,
     )
 
@@ -589,7 +590,9 @@ def run_tick(
     ds = ds.map_batches(as_arrow, batch_format="pyarrow")
 
     # cross-tick dedup: anti-join against everything already committed
-    if latest_version(table_dir) is not None:
+    # (an empty tick commits a version with no file: nothing to join)
+    committed = latest_version(table_dir)
+    if committed is not None and version_files(table_dir, committed):
         existing = read_version(table_dir).select_columns(["doc_id"])
         ds = hash_join(
             ds, existing, on=["doc_id"], how="left_anti",

@@ -497,6 +497,17 @@ class TestTableFormat:
         got = sorted(r["doc_id"] for r in read_version(t, 3).take_all())
         assert got == [4, 5, 6]
 
+    def test_file_less_version_reads_empty(self, ray_session, tmp_path):
+        """A ledger-only commit lists no file: it reads as an empty
+        dataset, and a requested column comes back (null-typed: the
+        version never held a file to take a type from)."""
+        from ctinexus_ray.state.tableformat import commit_version, read_version
+
+        t = str(tmp_path / "tbl")
+        assert commit_version(t, [], "append", batch_ids=["b0"]) == 1
+        assert read_version(t).count() == 0
+        assert read_version(t, columns=["doc_id"]).columns() == ["doc_id"]
+
     def test_duplicate_file_not_doubled(self, ray_session, tmp_path):
         from ctinexus_ray.state.tableformat import commit_version, read_version
 

@@ -284,6 +284,48 @@ class TestWorkerDeath:
                 frame(read(str(tmp_path / "clean" / view))),
             )
 
+    def test_kg_build_derive_task_death_heals(
+        self, corpus_files, tmp_path, ray_session, config, monkeypatch
+    ):
+        """A derive task of the one-shot ``run_kg_to_parquet`` dies on its
+        first attempt right after writing its docs_kg, triples and edges
+        files: the retried task overwrites them, docs_kg holds each url
+        once, and all five outputs equal the undisturbed twin's."""
+        import pandas as pd
+
+        import ctinexus_ray.pipelines.kg as kg
+        from ctinexus_ray.sources.documents import read_cc
+
+        flag = str(tmp_path / "derive_poison")
+        poison_once, real = _make_poison(), kg.derive_batch
+
+        def dies_after_writing(*args):
+            partials = real(*args)
+            poison_once(flag)
+            return partials
+
+        clean = kg.run_kg_to_parquet(
+            read_cc(corpus_files), str(tmp_path / "clean"), config
+        )
+        monkeypatch.setattr(kg, "derive_batch", dies_after_writing)
+        poisoned = kg.run_kg_to_parquet(
+            read_cc(corpus_files), str(tmp_path / "poisoned"), config
+        )
+        assert os.path.exists(flag), "poison never fired"
+        urls = pq.read_table(poisoned["docs_kg"]).column("url").to_pylist()
+        assert len(urls) == len(set(urls)) == 40
+
+        def frame(path):
+            df = pq.read_table(path).to_pandas()
+            df = df[sorted(df.columns)].astype(str)
+            return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+        assert sorted(poisoned) == sorted(clean)
+        for name in clean:
+            pd.testing.assert_frame_equal(
+                frame(poisoned[name]), frame(clean[name])
+            )
+
     def test_index_build_task_death_keeps_manifest_atomic(
         self, tmp_path, ray_session
     ):

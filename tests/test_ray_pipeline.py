@@ -197,12 +197,39 @@ class TestRunKgToParquet:
             assert os.path.isdir(path)
             assert _rows_under(path) == 0
 
+    def test_build_runs_one_execution(self, ray_session, config, tmp_path, monkeypatch):
+        """extract -> KG task map -> derive map -> reduce -> nodes write
+        run as ONE Ray Data execution (the metrics row is a driver-side
+        scan)."""
+        import pyarrow.parquet as pq
+        from ray.data._internal.execution.streaming_executor import (
+            StreamingExecutor,
+        )
+
+        from ctinexus_ray.pipelines.kg import run_kg_to_parquet
+
+        calls, real = [], StreamingExecutor.execute
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", counted)
+        paths = run_kg_to_parquet(ray.data.from_arrow(make_cc_table(24)),
+                                  str(tmp_path / "out"), config)
+        assert len(calls) == 1
+        assert pq.read_table(paths["docs_kg"]).num_rows == 24
+        assert pq.read_table(paths["metrics"]).column("docs").to_pylist() == [24]
+
     def test_retried_derive_batch_overwrites_its_files(self, config, demos, tmp_path):
         """A retried derive task re-runs a batch under the same (plan
-        token, task index, batch ordinal): the same files, the same rows."""
+        token, task index, batch ordinal): the same docs_kg, triples and
+        edges files, the same rows."""
         import os
 
-        from ctinexus_ray.pipelines.kg import derive_batch
+        import pyarrow.parquet as pq
+
+        from ctinexus_ray.pipelines.kg import KG_DOC_COLUMNS, derive_batch
         from ctinexus_ray.stages.extract import extract_batch
         from ctinexus_ray.stages.kg import KGDocStage
         from ctinexus_ray.stages.triples import (
@@ -210,26 +237,29 @@ class TestRunKgToParquet:
             explode_triples_batch,
         )
 
-        batch = KGDocStage(config, demos)(extract_batch(make_cc_table(12)))
-        dirs = [tmp_path / "triples", tmp_path / "edges"]
+        batch = KGDocStage(config, demos)(
+            extract_batch(make_cc_table(12))).select(KG_DOC_COLUMNS)
+        dirs = [tmp_path / "docs_kg", tmp_path / "triples", tmp_path / "edges"]
         for d in dirs:
             d.mkdir()
 
         def derive(ordinal):
-            return derive_batch(batch, str(dirs[0]), str(dirs[1]), "plan", 3, ordinal)
+            return derive_batch(batch, *map(str, dirs), "plan", 3, ordinal)
 
         def state():
             return [(sorted(os.listdir(d)), _rows_under(d)) for d in dirs]
 
         partials = derive(0)
         first = state()
+        name = "plan_000003_000000.parquet"
         n = explode_triples_batch(batch).num_rows
-        assert n > 0 and first == [(["plan_000003_000000.parquet"], n)] * 2
+        assert n > 0 and first == [([name], 12), ([name], n), ([name], n)]
+        assert pq.read_table(dirs[0] / name).equals(batch)
         assert partials.equals(entity_partials_batch(batch))
         derive(0)
         assert state() == first
         derive(1)  # the task's next batch gets a file of its own
-        assert [len(files) for files, _ in state()] == [2, 2]
+        assert [len(files) for files, _ in state()] == [2, 2, 2]
 
 
 class TestSourcesConform:

@@ -64,6 +64,22 @@ class TestStreamJob:
         assert s3["version"] == 2
         assert _table_ids(table) == list(range(1, 21))
 
+    def test_empty_first_tick_then_rows(self, ray_session, tmp_path):
+        """A tick whose shards hold no row commits a file-less version;
+        the next tick's cross-tick anti-join reads it as empty."""
+        inp = tmp_path / "in"
+        inp.mkdir()
+        table = str(tmp_path / "tbl")
+        os.makedirs(table)
+
+        _shard(inp / "a.parquet", [])
+        s1 = run_tick(str(inp), table, num_partitions=4)
+        assert (s1["new_shards"], s1["rows_appended"], s1["version"]) == (1, 0, 1)
+        _shard(inp / "b.parquet", [7])
+        s2 = run_tick(str(inp), table, num_partitions=4)
+        assert (s2["new_shards"], s2["rows_appended"], s2["version"]) == (1, 1, 2)
+        assert _table_ids(table) == [7]
+
     def test_crash_replay_is_idempotent(self, ray_session, tmp_path):
         inp = tmp_path / "in"
         inp.mkdir()

@@ -7132,8 +7132,8 @@ def _q_kg_degrees(sf_dir: str):
 def _q_kg_nodes_incremental(sf_dir: str):
     """Incremental cross-doc canonicalization (pipelines/kg_incr.py):
     the corpus ingests in TWO ticks into a persisted versioned nodes
-    view — tick 2 folds only the new shards' entity partials via one
-    Sum/Max monoid merge (state/ivm.py exactly-once manifest ledger)
+    view — tick 2 appends only the new shards' entity partials, reduced
+    by Sum/Max on read (state/ivm.py exactly-once manifest ledger),
     instead of re-shuffling the full checkpoint. The returned view
     equals the kg_nodes full recompute by the delta-maintenance monoid
     argument (pinned frame-equal in tests/test_kg_incr.py on 3 ticks).
@@ -9018,12 +9018,12 @@ def _q_name_betweenness(sf_dir: str):
 def _q_ivm_wordcount(sf_dir: str):
     """Delta-maintained word-count view (state/ivm.py): the corpus
     arrives as 2 ingestion batches (doc_id mod 2 — deterministic), each
-    contributing a tick-sized delta aggregate folded into a versioned
-    view by monoid combination with copy-on-write file pruning; the
-    applied-batch ledger lives IN the manifest, so replay is
-    exactly-once. The final view must equal a full recompute — which is
-    exactly what the SQL twin does, making delta-maintenance soundness
-    itself the oracle check. ✓SQL."""
+    contributing a tick-sized delta aggregate appended to a versioned
+    view and reduced by monoid combination on read; the applied-batch
+    ledger lives IN the manifest, so replay is exactly-once. The final
+    view must equal a full recompute — which is exactly what the SQL
+    twin does, making delta-maintenance soundness itself the oracle
+    check. ✓SQL."""
     import tempfile
 
     import numpy as np
@@ -9031,8 +9031,7 @@ def _q_ivm_wordcount(sf_dir: str):
     from ctinexus_ray.ops.dedup import hash64_strings
     from ctinexus_ray.ops.groupagg import partitioned_agg
     from ctinexus_ray.ops.textstats import word_explode_batch
-    from ctinexus_ray.state.ivm import apply_delta
-    from ctinexus_ray.state.tableformat import read_version
+    from ctinexus_ray.state.ivm import apply_delta, read_view
 
     view = tempfile.mkdtemp(prefix="ivm_wc_")
     n_slices = 2
@@ -9062,9 +9061,8 @@ def _q_ivm_wordcount(sf_dir: str):
             key_col="wkey",
             value_cols={"n": "sum"},
             batch_id=f"slice-{i}",
-            num_partitions=16,
         )
-    return read_version(view, columns=["word", "n"])
+    return read_view(view, "wkey", {"n": "sum"}).select_columns(["word", "n"])
 
 
 def _q_bloom_pruned_lookup(sf_dir: str):
@@ -9152,8 +9150,7 @@ def _q_ivm_distinct_users(sf_dir: str):
         hll_estimate_from_rows,
         hll_register_rows,
     )
-    from ctinexus_ray.state.ivm import apply_delta
-    from ctinexus_ray.state.tableformat import read_version
+    from ctinexus_ray.state.ivm import apply_delta, read_view
 
     p = 12
     view = tempfile.mkdtemp(prefix="ivm_hll_")
@@ -9183,9 +9180,11 @@ def _q_ivm_distinct_users(sf_dir: str):
         )
         apply_delta(
             view, delta, key_col="reg", value_cols={"rho": "max"},
-            batch_id=f"slice-{i}", num_partitions=16,
+            batch_id=f"slice-{i}",
         )
-    est = hll_estimate_from_rows(read_version(view).take_all(), p=p)
+    est = hll_estimate_from_rows(
+        read_view(view, "reg", {"rho": "max"}).take_all(), p=p
+    )
     return pa.Table.from_pydict(
         {"approx_distinct_users": pa.array([est], type=pa.int64())}
     )

@@ -66,9 +66,9 @@ class PipelineConfig:
     cpu_batch_size: int = 256
 
     # canonicalization shuffle
-    # Its reduce partitions. 0 = each path's default: 64 in
-    # kg.reduce_entity_partials; in kg_incr.fold_kg_derived, apply_delta's
-    # own choice (its join and merge size from plan metadata).
+    # Its reduce partitions in kg.reduce_entity_partials (0 = 64). The
+    # incremental nodes view reduces at read time (ivm.read_view), sized
+    # from plan metadata.
     canon_num_partitions: int = 0
 
     extra: dict = field(default_factory=dict)

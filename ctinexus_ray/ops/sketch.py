@@ -755,9 +755,10 @@ def hll_register_rows(
     """HyperLogLog registers as ROWS — (reg:int64, rho:int64), nonzero
     registers only, max-combined across batches. The row form exists for
     DELTA-MAINTAINED distinct-count views (state/ivm.py): registers are
-    a max-monoid, so a tick's register rows fold into a persisted view
-    with ``apply_delta(value_cols={"rho": "max"})`` and the view's
-    estimate equals the full-corpus sketch exactly (pinned in tests).
+    a max-monoid, so a tick's register rows append to a persisted view
+    with ``apply_delta(value_cols={"rho": "max"})``, ``read_view`` folds
+    them by max, and the view's estimate equals the full-corpus sketch
+    exactly (pinned in tests).
     At most 2^p rows regardless of corpus size."""
 
     def partial(batch: pa.Table):

@@ -22,13 +22,14 @@ full build's derive map (``kg.derive_partials``):
 
     out/
       docs_kg/        per-shard checkpoint (run_resumable, unchanged)
-      nodes_view/     IVM view: the pass's entity partials, reduced and
-                      merged by Sum/Max (one apply_delta per tick; its
-                      hash-partitioned files span the whole key space,
-                      so every tick rewrites the view)
+      nodes_view/     IVM view: each tick appends the pass's entity
+                      partials (one apply_delta); reads reduce them by
+                      Sum/Max, and the view compacts once its deltas
+                      reach its base's bytes
       triples_view/   append table: the files the pass's tasks wrote
       edges_view/     append table: the files the pass's tasks wrote
-      metrics_view/   one-row Sum fold on the driver (``metrics_total``)
+      metrics_view/   append table: one ``metrics_total`` row per fold,
+                      summed at read time
 
 Exactly-once: each table's manifest carries its own applied-shard
 ledger, written by ``commit_version(batch_ids=...)`` atomically with
@@ -36,8 +37,8 @@ the data commit — a crash between two tables' commits leaves the next
 fold the shards that some tables still lack, and it folds them into
 exactly those tables. Incremental == full
 recompute by the monoid-fold argument (pinned by
-tests/test_kg_incr.py on a 3-tick corpus against the ``kg.py``
-full-derivation oracle).
+tests/test_kg_incr.py after every tick of 3- and 6-tick corpora,
+through compactions, against the ``kg.py`` full-derivation oracle).
 
 Reference anchor: cross-doc canonicalization is this engine's
 north_rule addition (SURVEY §2.4); the reference's per-document outputs
@@ -50,7 +51,6 @@ from __future__ import annotations
 import os
 import uuid
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray.data
@@ -58,22 +58,13 @@ import ray.data
 from ctinexus_ray.config import PipelineConfig
 from ctinexus_ray.pipelines.kg import (
     METRIC_COLUMNS,
-    METRICS_SCHEMA,
     derive_partials,
     metrics_total,
-    reduce_entity_partials,
     strip_class_rank_batch,
 )
 from ctinexus_ray.state.checkpoint import completed_partitions
-from ctinexus_ray.state.ivm import apply_delta
-from ctinexus_ray.state.tableformat import (
-    ConcurrentWriteError,
-    applied_ids,
-    commit_version,
-    latest_version,
-    read_version,
-    version_files,
-)
+from ctinexus_ray.state.ivm import apply_delta, read_view
+from ctinexus_ray.state.tableformat import applied_ids, commit_version
 
 _VIEWS = ("nodes", "triples", "edges", "metrics")
 _NODE_VALUE_COLS = {
@@ -82,7 +73,6 @@ _NODE_VALUE_COLS = {
     "doc_count": "sum",
     "mention_count": "sum",
 }
-_NODE_VALUE_TYPES = {"entity_text": pa.string(), "class_rank": pa.string()}
 
 
 def committed_kg_shards(docs_kg_dir: str) -> list[tuple[str, str]]:
@@ -101,28 +91,6 @@ def _bid(pid: str) -> str:
     return f"kgshard-{pid}"
 
 
-def _fold_metrics(view_dir: str, files: list[str], bids: list[str]) -> None:
-    """The one-row metrics view folded on the driver: ``metrics_total``
-    of the new shards summed with the current row, written as one file
-    and committed as ONE overwrite pinned to the version it summed."""
-    parent = latest_version(view_dir)
-    rows = [metrics_total(files)]
-    if parent is not None:
-        rows += [pq.read_table(f, columns=METRICS_SCHEMA.names)
-                 for f in version_files(view_dir, parent)]
-    total = pa.concat_tables(rows).group_by("stage").aggregate(
-        [(c, "sum") for c in METRIC_COLUMNS]
-    )
-    total = total.rename_columns(
-        [c.removesuffix("_sum") for c in total.column_names]
-    ).select(METRICS_SCHEMA.names)
-    path = os.path.join(view_dir, f"data-{uuid.uuid4().hex[:12]}.parquet")
-    os.makedirs(view_dir, exist_ok=True)
-    pq.write_table(total, path)
-    commit_version(view_dir, [path], mode="overwrite", batch_ids=bids,
-                   expected_parent=parent)
-
-
 def fold_kg_derived(
     out_dir: str, config: PipelineConfig | None = None
 ) -> dict:
@@ -131,17 +99,17 @@ def fold_kg_derived(
     them (normally one group: all four). Per group, ONE Ray Data pass of
     ``derive_partials`` reads the shards once: its tasks write the
     triples and edges files into fresh data dirs, and its entity
-    partials feed ``reduce_entity_partials`` into the nodes view's
-    ``apply_delta``, whose delta materialize executes the pass. Then
-    triples and edges each adopt their files with one append commit and
-    the metrics row folds on the driver. Idempotent per table (own
-    ledgers).
+    partials go straight into the nodes view's ``apply_delta``, whose
+    append executes the pass. Then triples and edges each adopt their
+    files with one append commit, and the metrics view appends the
+    shards' ``metrics_total`` row. Idempotent per table (own ledgers);
+    appends of disjoint shard sets commute, so a concurrent fold lands
+    too.
 
-    Cost is O(new docs) map work plus a merge that rewrites the nodes
-    view: its hash-partitioned files span the whole key space, so every
-    tick touches every file (``nodes_files_rewritten`` /
-    ``nodes_files_kept`` report it) — NOT an O(corpus) re-shuffle of
-    docs_kg, but O(view) bytes per tick."""
+    Cost is O(new docs): one execution per tick, whose writes are the
+    tick's own partials, triples and edges. When the nodes view's deltas
+    reach its base's bytes, ``apply_delta`` compacts it with a second
+    execution (``nodes_compacted`` counts those)."""
     config = config or PipelineConfig()
     shards = committed_kg_shards(os.path.join(out_dir, "docs_kg"))
     dirs = {v: os.path.join(out_dir, f"{v}_view") for v in _VIEWS}
@@ -152,8 +120,8 @@ def fold_kg_derived(
         if lacking:
             groups.setdefault(lacking, []).append((pid, path))
 
-    stats = {"kg_shards": len(shards), "nodes_files_rewritten": 0,
-             "nodes_files_kept": 0, **{f"{v}_folded": 0 for v in _VIEWS}}
+    stats = {"kg_shards": len(shards), "nodes_compacted": 0,
+             **{f"{v}_folded": 0 for v in _VIEWS}}
     for lacking, todo in groups.items():
         files, bids = [f for _, f in todo], [_bid(p) for p, _ in todo]
         data_dirs = {v: os.path.join(dirs[v], f"data-{uuid.uuid4().hex[:12]}")
@@ -164,27 +132,25 @@ def fold_kg_derived(
             partials = derive_partials(
                 files, data_dirs.get("triples"), data_dirs.get("edges"), config
             )
+            nodes = {"applied": False}
             if "nodes" in lacking:
-                merged = apply_delta(
-                    dirs["nodes"], reduce_entity_partials(partials, config),
-                    key_col="entity_key", value_cols=_NODE_VALUE_COLS,
-                    batch_id=bids,
-                    num_partitions=config.canon_num_partitions or None,
-                    value_types=_NODE_VALUE_TYPES,
+                nodes = apply_delta(
+                    dirs["nodes"], partials, key_col="entity_key",
+                    value_cols=_NODE_VALUE_COLS, batch_id=bids,
                 )
-                if not merged["applied"]:  # another fold got there first
-                    raise ConcurrentWriteError(
-                        f"{dirs['nodes']}: shards folded concurrently"
-                    )
-                stats["nodes_files_rewritten"] += merged.get("files_rewritten", 0)
-                stats["nodes_files_kept"] += merged.get("files_kept", 0)
-            else:
+                stats["nodes_compacted"] += nodes.get("compacted") is not None
+            if not nodes["applied"] and data_dirs:
                 partials.materialize()  # the pass, for its files only
         for v, d in data_dirs.items():
             written = sorted(os.path.join(d, n) for n in os.listdir(d))
             commit_version(dirs[v], written, mode="append", batch_ids=bids)
         if "metrics" in lacking:
-            _fold_metrics(dirs["metrics"], files, bids)
+            path = os.path.join(dirs["metrics"],
+                                f"data-{uuid.uuid4().hex[:12]}.parquet")
+            os.makedirs(dirs["metrics"], exist_ok=True)
+            pq.write_table(metrics_total(files), path)
+            commit_version(dirs["metrics"], [path], mode="append",
+                           batch_ids=bids)
         for v in lacking:
             stats[f"{v}_folded"] += len(todo)
     return stats
@@ -193,20 +159,20 @@ def fold_kg_derived(
 def read_kg_nodes_view(view_dir: str) -> ray.data.Dataset:
     """The canonical nodes table from the incremental view — identical
     schema and values to ``canonicalize_nodes`` over the full
-    checkpoint (class_rank decoded at read time)."""
-    return read_version(
-        view_dir,
-        columns=[
-            "entity_key", "entity_text", "class_rank",
-            "doc_count", "mention_count",
-        ],
-    ).map_batches(strip_class_rank_batch, batch_format="pyarrow")
+    checkpoint (base and deltas reduced, class_rank decoded at read
+    time)."""
+    return read_view(view_dir, "entity_key", _NODE_VALUE_COLS).map_batches(
+        strip_class_rank_batch, batch_format="pyarrow"
+    )
 
 
 def read_kg_metrics_view(view_dir: str) -> ray.data.Dataset:
-    """The corpus metrics rollup (views an earlier fold wrote also hold
-    an internal ``stage_key`` column, not read here)."""
-    return read_version(view_dir, columns=["stage", *METRIC_COLUMNS])
+    """The corpus metrics rollup: the view's per-fold rows summed to one,
+    in one block (views an earlier fold wrote also hold an internal
+    ``stage_key`` column, not read here)."""
+    return read_view(
+        view_dir, "stage", dict.fromkeys(METRIC_COLUMNS, "sum")
+    ).select_columns(["stage", *METRIC_COLUMNS]).repartition(1)
 
 
 def run_kg_incremental(
@@ -223,7 +189,7 @@ def run_kg_incremental(
     FOLDS the new shards into persisted versioned tables, read with
     ``read_version`` / ``read_kg_nodes_view`` /
     ``read_kg_metrics_view``. A tick that adds one shard to a
-    10^12-doc corpus pays for one shard, plus one bounded merge.
+    10^12-doc corpus pays for one shard, plus an occasional compaction.
 
     ``reader`` maps one shard path to a CC-shaped Dataset; default is
     the parquet reader (``sources.documents.read_cc``) — pass

@@ -274,6 +274,10 @@ def commit_version(
             if s not in pool:
                 pool.append(s)
             fmap[f] = pool.index(s)
+        if not manifest["files"] and parent is not None:
+            # a file-less commit keeps the parent's schema, so its
+            # empty read stays typed
+            pool = list(pman.get("schema_pool", []))
         if pool:
             union = _unify_schemas(
                 None, [_schema_from_json(s) for s in pool]
@@ -347,6 +351,19 @@ def version_extra(table_dir: str, version: int | None = None) -> dict:
         return json.load(fh).get("extra", {})
 
 
+def version_schema(table_dir: str, version: int | None = None):
+    """The union schema a version's manifest records (latest when
+    None); None when it records none, as when no commit up to it ever
+    listed a file."""
+    if version is None:
+        version = latest_version(table_dir)
+        if version is None:
+            return None
+    with open(_manifest_path(table_dir, version)) as fh:
+        schema = json.load(fh).get("schema")
+    return None if schema is None else _schema_from_json(schema)
+
+
 def read_version(
     table_dir: str,
     version: int | None = None,
@@ -365,11 +382,16 @@ def read_version(
     with open(_manifest_path(table_dir, version)) as fh:
         manifest = json.load(fh)
     if not manifest["files"]:
-        # a ledger-only commit or an empty tick: no rows and no schema
-        # recorded, so a requested column reads as null-typed
+        # a ledger-only commit or an empty tick: no rows, typed by the
+        # schema it carries; a column no commit ever had reads null-typed
         import pyarrow as pa
 
-        return ray.data.from_arrow(pa.table({c: pa.nulls(0) for c in columns or []}))
+        types = {}
+        if "schema" in manifest:
+            types = {f.name: f.type for f in _schema_from_json(manifest["schema"])}
+        names = list(types) if columns is None else columns
+        return ray.data.from_arrow(pa.table(
+            {c: pa.array([], types.get(c, pa.null())) for c in names}))
     kwargs: dict = {}
     if columns is not None:
         kwargs["columns"] = columns
@@ -468,13 +490,11 @@ def merge_upsert(
     num_partitions: int | None = None,
     assume_unique: bool = False,
     extra: dict | None = None,
-    version: int | None = None,
-    batch_ids: list[str] | None = None,
 ) -> dict:
-    """MERGE INTO the table's ``version`` (latest when None): update
-    rows replace base rows with the same key, rows with new keys are
-    inserted, and rows flagged TRUE in ``delete_col`` remove the key
-    (insert-flavored deletes of absent keys are no-ops). Commits a new
+    """MERGE INTO the table's latest version: update rows replace base
+    rows with the same key, rows with new keys are inserted, and rows
+    flagged TRUE in ``delete_col`` remove the key (insert-flavored
+    deletes of absent keys are no-ops). Commits a new
     version; every prior version stays readable (copy-on-write, files
     immutable).
 
@@ -494,10 +514,8 @@ def merge_upsert(
     Update keys must be unique (SQL MERGE's "multiple matching rows"
     error) — verified with one count reduce unless ``assume_unique``.
     The commit is pinned to the merged version: a table that moved past
-    it raises ``ConcurrentWriteError``. ``batch_ids`` go to
-    ``commit_version``'s exactly-once ledger.
-    Returns {"version", "files_kept", "files_rewritten", "n_updates"}
-    ("version" None when every batch id was already applied).
+    it raises ``ConcurrentWriteError``.
+    Returns {"version", "files_kept", "files_rewritten", "n_updates"}.
     ``key_col`` must be int64-compatible.
     """
     import uuid
@@ -527,7 +545,7 @@ def merge_upsert(
                 "(SQL MERGE multiple-matching-rows error)"
             )
 
-    parent = latest_version(table_dir) if version is None else version
+    parent = latest_version(table_dir)
     base_files: list[str] = []
     if parent is not None:
         with open(_manifest_path(table_dir, parent)) as fh:
@@ -681,7 +699,6 @@ def merge_upsert(
     committed = commit_version(
         table_dir, kept + new_files, mode="overwrite", extra=extra,
         expected_parent=parent,  # snapshot guard: abort on concurrent commits
-        batch_ids=batch_ids,
     )
     return {
         "version": committed,
@@ -1001,10 +1018,10 @@ def write_dataset_version(
 ):
     """Execute a Dataset into a fresh immutable file set under the
     table dir and commit it as ONE version (``commit_version``'s
-    arguments pass through) — the write-then-commit idiom of the IVM
-    first-batch path, stream_job's corpus tick, LSH band and wordcount
-    rebuild commits, and the webtext corpus commit. A crash between
-    the write and the commit leaves only an orphaned data dir
+    arguments pass through) — the write-then-commit idiom of IVM delta
+    appends and compactions, stream_job's corpus tick, LSH band and
+    wordcount rebuild commits, and the webtext corpus commit. A crash
+    between the write and the commit leaves only an orphaned data dir
     (vacuumable); an empty dataset commits an empty file list.
     Returns ``(version, files)``; version is None when every batch id
     was already applied."""

@@ -9,13 +9,15 @@ a bucket; each tick ingests exactly the unseen shards:
     python jobs/stream_job.py --input s3://bucket/incoming/ \
         --table s3://bucket/corpus_table/ --watch --poll-sec 30
 
-Exactly-once table contents from at-least-once processing: the
-processed-shard ledger is updated only AFTER the table commit, so a
-crash between the two re-processes the shard on the next tick — but
-the per-tick anti-join against the table's existing doc_ids makes the
-replay a no-op. The versioned-table commit itself is atomic
+Exactly-once table contents: a tick's shard paths are recorded in its
+table commit's ledger (``commit_version(batch_ids=...)``), atomically
+with its rows, so a crash before the commit re-processes the shards on
+the next tick and a crash after it re-processes nothing; the per-tick
+anti-join against the table's existing doc_ids keeps a re-crawled
+doc_id from entering twice. The versioned-table commit itself is atomic
 (``state/tableformat.py``), so readers never see a partial tick and
-every pre-tick version stays time-travel-readable.
+every pre-tick version stays time-travel-readable. The views a tick
+maintains reconcile by corpus version after the commit.
 
 In this sandbox the same entrypoint runs standalone over local dirs;
 ``--max-ticks`` bounds the watch loop for tests. Input shards may be
@@ -43,23 +45,20 @@ _SHARD_EXTS = (".parquet", ".jsonl", ".jsonl.gz", ".csv", ".avro")
 _LSH_PARAMS = (64, 16, 3)  # (num_perm, bands, shingle_n)
 
 
-def _ledger_path(table_dir: str) -> str:
-    return os.path.join(table_dir, "_ingest_ledger.json")
+def _applied(table_dir: str, old_ledger: str, key: str) -> set:
+    """The batch ids in ``table_dir``'s commit ledger, plus those of the
+    JSON ledger file ``old_ledger`` (under ``key``) that versions of
+    this job before the commit ledger kept — so a running stream
+    neither re-ingests nor rebuilds after an upgrade."""
+    from ctinexus_ray.state.tableformat import applied_ids
 
-
-def _read_ledger(table_dir: str) -> dict:
+    done = set(applied_ids(table_dir))
     try:
-        with open(_ledger_path(table_dir)) as fh:
-            return json.load(fh)
+        with open(old_ledger) as fh:
+            done.update(json.load(fh)[key])
     except FileNotFoundError:
-        return {"shards": []}
-
-
-def _write_ledger(table_dir: str, ledger: dict) -> None:
-    tmp = _ledger_path(table_dir) + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(ledger, fh, indent=1)
-    os.replace(tmp, _ledger_path(table_dir))
+        pass
+    return done
 
 
 def _list_shards(input_dir: str) -> list[str]:
@@ -305,7 +304,6 @@ def _maintain_wordcount_view(
             key_col="wkey",
             value_cols={"n": "sum"},
             batch_id=bid,
-            num_partitions=num_partitions,
         )
         if out["applied"]:
             folded += 1
@@ -401,9 +399,7 @@ def _drop_stale_kg_state(kg_dir: str, keep_pids: set) -> None:
             os.remove(part)
 
 
-def _maintain_kg_view(
-    table_dir: str, kg_dir: str, num_partitions: int
-) -> dict:
+def _maintain_kg_view(table_dir: str, kg_dir: str) -> dict:
     """Fold every committed-but-unfolded corpus version through the KG
     pipeline into the INCREMENTAL derived layer (pipelines/kg_incr.py)
     — the it's-all-connected surface of SURVEY §2.4's north_rule
@@ -412,38 +408,34 @@ def _maintain_kg_view(
     set through the per-shard checkpoint + monoid merges, never
     re-shuffling the corpus.
 
-    Reconciliation: a version-cursor JSON under ``kg_dir`` records
-    applied versions; it is only an optimization — every underlying
-    step is idempotent (docs_kg shard sidecars skip completed shards,
-    the fold tables' own ledgers skip folded shards), so a crash
-    anywhere replays into no-ops. Compaction versions mark applied
-    without work (their rewritten files would otherwise look like new
-    shards and double-fold); a vacuumed manifest or logical overwrite
-    rebuilds the four views from the latest version, keeping every
-    docs_kg shard whose input file that version still holds (corpus
-    data files are immutable and a shard's pid hashes its input path,
-    so those LLM outputs are still exact)."""
+    Reconciliation: the metrics view's commit ledger also records the
+    applied corpus versions (ledger-only commits); it is only an
+    optimization — every underlying step is idempotent (docs_kg shard
+    sidecars skip completed shards, the fold tables' own ledgers skip
+    folded shards), so a crash anywhere replays into no-ops.
+    Compaction versions mark applied without work (their rewritten
+    files would otherwise look like new shards and double-fold); a
+    vacuumed manifest or logical overwrite rebuilds the four views from
+    the latest version, keeping every docs_kg shard whose input file
+    that version still holds (corpus data files are immutable and a
+    shard's pid hashes its input path, so those LLM outputs are still
+    exact)."""
     from ctinexus_ray.config import PipelineConfig
     from ctinexus_ray.pipelines.kg import checkpoint_docs_kg
     from ctinexus_ray.pipelines.kg_incr import fold_kg_derived
     from ctinexus_ray.state.checkpoint import partition_id
-    from ctinexus_ray.state.tableformat import latest_version, version_files
+    from ctinexus_ray.state.tableformat import (
+        commit_version,
+        latest_version,
+        version_files,
+    )
 
     latest = latest_version(table_dir)
     if latest is None:
         return {"kg_folded": 0}
-    ledger_path = os.path.join(kg_dir, "_KG_VIEW_LEDGER.json")
-    applied: set = set()
-    if os.path.exists(ledger_path):
-        with open(ledger_path) as fh:
-            applied = set(json.load(fh)["applied"])
-
-    def save_ledger() -> None:
-        os.makedirs(kg_dir, exist_ok=True)
-        tmp = ledger_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({"applied": sorted(applied)}, fh)
-        os.replace(tmp, ledger_path)
+    cursor = os.path.join(kg_dir, "metrics_view")
+    applied = _applied(cursor, os.path.join(kg_dir, "_KG_VIEW_LEDGER.json"),
+                       "applied")
 
     import ray.data
 
@@ -458,10 +450,7 @@ def _maintain_kg_view(
             return conform_schema(ds)
         return ds.map_batches(_adapt_batch, batch_format="pyarrow")
 
-    # wire the tick's partition count into the canonicalization merge
-    # (rounded up to the power of two canonicalize_node_partials needs)
-    canon = 1 << max(0, num_partitions - 1).bit_length()
-    config = PipelineConfig(canon_num_partitions=canon)
+    config = PipelineConfig()
     docs_kg = os.path.join(kg_dir, "docs_kg")
     work, rebuild_reason = _scan_unapplied_versions(
         table_dir, latest, applied
@@ -479,8 +468,8 @@ def _maintain_kg_view(
         )
         checkpoint_docs_kg(latest_files, docs_kg, config, reader=reader)
         fold_kg_derived(kg_dir, config)
-        applied = {f"corpus-v{v}" for v in range(1, latest + 1)}
-        save_ledger()
+        commit_version(cursor, [], "append",
+                       batch_ids=[f"corpus-v{v}" for v in range(1, latest + 1)])
         return {"kg_folded": 1, "kg_rebuilt": rebuild_reason}
 
     # checkpoint EVERY backlogged version's new shards first, then fold
@@ -495,10 +484,8 @@ def _maintain_kg_view(
             folded += 1
     if folded:
         fold_kg_derived(kg_dir, config)
-    for bid, _, _ in work:
-        applied.add(bid)
     if work:
-        save_ledger()
+        commit_version(cursor, [], "append", batch_ids=[b for b, _, _ in work])
     return {"kg_folded": folded}
 
 
@@ -537,8 +524,8 @@ def run_tick(
         write_dataset_version,
     )
 
-    ledger = _read_ledger(table_dir)
-    done = set(ledger["shards"])
+    done = _applied(table_dir, os.path.join(table_dir, "_ingest_ledger.json"),
+                    "shards")
     new = [s for s in _list_shards(input_dir) if s not in done]
     if not new:
         # still reconcile the view: a crash between a previous tick's
@@ -554,7 +541,7 @@ def run_tick(
             )
         if kg_view:
             view_stats.update(
-                _maintain_kg_view(table_dir, kg_view, num_partitions)
+                _maintain_kg_view(table_dir, kg_view)
             )
         return {"new_shards": 0, "rows_in": 0, "rows_appended": 0,
                 "version": latest_version(table_dir), **view_stats}
@@ -605,10 +592,13 @@ def run_tick(
             ds, table_dir, near_dup_threshold, num_partitions
         )
 
-    # a FRESH tick-<uuid> dir per invocation: deriving the name from
-    # ledger length would collide on crash-replay (ledger lost, dir
-    # not) and re-list the previous tick's files as this tick's output
-    version, files = write_dataset_version(table_dir, ds, prefix="tick")
+    # the shard paths ride in the commit's ledger: ingestion is
+    # exactly-once together with the data (a racing run that committed
+    # the same shards first leaves this tick's files uncommitted)
+    version, files = write_dataset_version(table_dir, ds, prefix="tick",
+                                           batch_ids=new)
+    if version is None:
+        files = []
     rows_appended = sum(pq.read_metadata(f).num_rows for f in files)
     if near_dup_threshold is not None and rows_appended:
         # index the COMMITTED survivors' band buckets (data first, index
@@ -639,13 +629,8 @@ def run_tick(
         )
     if kg_view:
         view_stats.update(
-            _maintain_kg_view(table_dir, kg_view, num_partitions)
+            _maintain_kg_view(table_dir, kg_view)
         )
-
-    # ledger LAST: a crash before this line replays the shards next
-    # tick, and the anti-join drops every already-committed row
-    ledger["shards"].extend(new)
-    _write_ledger(table_dir, ledger)
     return {
         "new_shards": len(new),
         "rows_in": rows_in,

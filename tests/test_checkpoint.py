@@ -508,6 +508,20 @@ class TestTableFormat:
         assert read_version(t).count() == 0
         assert read_version(t, columns=["doc_id"]).columns() == ["doc_id"]
 
+    def test_file_less_commit_keeps_parent_schema(self, ray_session, tmp_path):
+        """A commit that lists no file carries its parent's schema, so
+        its empty read stays typed."""
+        import pyarrow as pa
+
+        from ctinexus_ray.state.tableformat import commit_version, read_version
+
+        t = str(tmp_path / "tbl")
+        commit_version(t, [self._write(tmp_path, "a.parquet", [1, 2])])
+        assert commit_version(t, [], "overwrite") == 2
+        got = read_version(t, columns=["doc_id"])
+        assert got.count() == 0
+        assert got.schema().base_schema.field("doc_id").type == pa.int64()
+
     def test_duplicate_file_not_doubled(self, ray_session, tmp_path):
         from ctinexus_ray.state.tableformat import commit_version, read_version
 

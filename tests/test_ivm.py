@@ -1,6 +1,7 @@
 """Incremental view maintenance (state/ivm.py): delta-maintained word
-counts equal a full recompute, replayed batches are exactly-once, and
-the applied-batch ledger is atomic with the data commit."""
+counts equal a full recompute, replayed batches are exactly-once, the
+applied-batch ledger is atomic with the data commit, and racing folds
+and compactions lose no update."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ import pytest
 
 import ray
 
-from ctinexus_ray.state.ivm import apply_delta
-from ctinexus_ray.state.tableformat import applied_ids, read_version
+from ctinexus_ray.state.ivm import apply_delta, read_view
+from ctinexus_ray.state.tableformat import applied_ids
 
 BATCHES = [
     ["a b b c", "c c d"],
@@ -41,8 +42,9 @@ def _delta(texts):
     )
 
 
-def _counts(view):
-    return {r["word"]: r["n"] for r in read_version(view).take_all()}
+def _counts(view, version=None):
+    return {r["word"]: r["n"] for r in
+            read_view(view, "wkey", {"n": "sum"}, version).take_all()}
 
 
 def _recompute(batches):
@@ -60,18 +62,10 @@ class TestApplyDelta:
         for i, texts in enumerate(BATCHES):
             out = apply_delta(
                 view, _delta(texts), key_col="wkey",
-                value_cols={"n": "sum"}, batch_id=f"b{i}",
-                num_partitions=16,
+                value_cols={"n": "sum"}, batch_id=f"b{i}"
             )
             assert out["applied"] is True
-        got = {
-            r["word"]: r["n"] for r in read_version(view).take_all()
-        }
-        want = Counter()
-        for texts in BATCHES:
-            for t in texts:
-                want.update(t.split())
-        assert got == dict(want)
+        assert _counts(view) == _recompute(BATCHES)
         assert applied_ids(view) == ["b0", "b1", "b2"]
 
     def test_replay_is_exactly_once(self, tmp_path):
@@ -81,18 +75,13 @@ class TestApplyDelta:
                 view, _delta(texts), key_col="wkey",
                 value_cols={"n": "sum"}, batch_id=f"b{i}",
             )
-        before = sorted(
-            (r["word"], r["n"]) for r in read_version(view).take_all()
-        )
+        before = _counts(view)
         out = apply_delta(
             view, _delta(BATCHES[1]), key_col="wkey",
             value_cols={"n": "sum"}, batch_id="b1",
         )
         assert out["applied"] is False
-        after = sorted(
-            (r["word"], r["n"]) for r in read_version(view).take_all()
-        )
-        assert before == after
+        assert _counts(view) == before
 
     def test_min_max_combines(self, tmp_path):
         view = str(tmp_path / "mm")
@@ -116,8 +105,8 @@ class TestApplyDelta:
                     {"lo": "min", "hi": "max"}, "t0")
         apply_delta(view, d([2, 3]), "k",
                     {"lo": "min", "hi": "max"}, "t1")
-        got = {r["k"]: (r["lo"], r["hi"])
-               for r in read_version(view).take_all()}
+        got = {r["k"]: (r["lo"], r["hi"]) for r in
+               read_view(view, "k", {"lo": "min", "hi": "max"}).take_all()}
         assert got == {1: (10, 10), 2: (20, 20), 3: (30, 30)}
 
     def test_non_monoid_combine_refuses(self, tmp_path):
@@ -131,12 +120,7 @@ class TestApplyDelta:
         view = str(tmp_path / "wc")
         apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0")
         apply_delta(view, _delta(BATCHES[1]), "wkey", {"n": "sum"}, "b1")
-        v1 = {r["word"]: r["n"]
-              for r in read_version(view, version=1).take_all()}
-        want = Counter()
-        for t in BATCHES[0]:
-            want.update(t.split())
-        assert v1 == dict(want)
+        assert _counts(view, version=1) == _recompute(BATCHES[:1])
 
     def test_ledger_survives_compaction(self, tmp_path):
         """compact_table commits without knowing about the IVM ledger;
@@ -153,30 +137,28 @@ class TestApplyDelta:
         )
         assert out["applied"] is False
 
-    def test_concurrent_first_delta_aborts(self, tmp_path, monkeypatch):
-        """A concurrent first delta that lands after apply_delta chose
-        the first-batch branch must abort the overwrite, not be
-        silently replaced by it."""
+    def test_concurrent_first_deltas_both_land(self, tmp_path, monkeypatch):
+        """A first delta that lands between another first delta's ledger
+        check and its append: both appends land, both ledger entries
+        are present, and the counts are the sum."""
         from ctinexus_ray.state import ivm, tableformat
 
         view = str(tmp_path / "wc")
-        real_latest = tableformat.latest_version
-        landed = []
+        real_applied = ivm.applied_ids
 
-        def latest_then_race(table_dir):
-            head = real_latest(table_dir)
-            if not landed:
-                landed.append(True)
-                tableformat.write_dataset_version(
-                    table_dir, _delta(BATCHES[1]), mode="overwrite",
-                    batch_ids=["other"], expected_parent=head,
-                )
-            return head
+        def applied_then_race(table_dir):
+            seen = real_applied(table_dir)
+            monkeypatch.setattr(ivm, "applied_ids", real_applied)
+            tableformat.write_dataset_version(
+                table_dir, _delta(BATCHES[1]), "append", batch_ids=["other"]
+            )
+            return seen
 
-        monkeypatch.setattr(ivm, "latest_version", latest_then_race)
-        with pytest.raises(tableformat.ConcurrentWriteError):
-            apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0")
-        assert applied_ids(view) == ["other"]
+        monkeypatch.setattr(ivm, "applied_ids", applied_then_race)
+        out = apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0")
+        assert out["applied"] is True
+        assert applied_ids(view) == ["other", "b0"]
+        assert _counts(view) == _recompute(BATCHES[:2])
 
     def test_overtaken_ledger_only_commit_keeps_both_entries(
         self, tmp_path, monkeypatch
@@ -187,15 +169,14 @@ class TestApplyDelta:
         from ctinexus_ray.state import tableformat
 
         view = str(tmp_path / "wc")
-        apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0",
-                    num_partitions=16)
+        apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0")
         real_latest = tableformat.latest_version
 
         def latest_then_race(table_dir):
             head = real_latest(table_dir)
             monkeypatch.setattr(tableformat, "latest_version", real_latest)
             apply_delta(view, _delta(BATCHES[1]), "wkey", {"n": "sum"},
-                        "b1", num_partitions=16)
+                        "b1")
             return head
 
         monkeypatch.setattr(tableformat, "latest_version", latest_then_race)
@@ -205,36 +186,63 @@ class TestApplyDelta:
         assert applied_ids(view) == ["b0", "b1", "compact-v2"]
         assert _counts(view) == _recompute(BATCHES[:2])
 
-    def test_overtaken_merge_aborts_instead_of_losing_update(
-        self, tmp_path, monkeypatch
-    ):
-        """A fold whose ledger check and view read saw version N must
-        not merge onto a concurrent fold's version N+1: its combined
-        counts miss the racer's delta, so committing them would drop
-        the racer's rows and ledger entry."""
+    def test_racing_folds_both_land(self, tmp_path, monkeypatch):
+        """A fold that lands between another fold's ledger check and its
+        append: appends of distinct batches commute, so both land, both
+        ledger entries are present and the counts are the sum — no
+        update is lost."""
+        from ctinexus_ray.state import ivm
+
+        view = str(tmp_path / "wc")
+        apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0")
+        real_write = ivm.write_dataset_version
+
+        def overtaken(*args, **kwargs):
+            monkeypatch.setattr(ivm, "write_dataset_version", real_write)
+            apply_delta(view, _delta(BATCHES[1]), "wkey", {"n": "sum"}, "b1")
+            return real_write(*args, **kwargs)
+
+        monkeypatch.setattr(ivm, "write_dataset_version", overtaken)
+        out = apply_delta(view, _delta(BATCHES[2]), "wkey", {"n": "sum"}, "b2")
+        assert out["applied"] is True
+        assert applied_ids(view) == ["b0", "b1", "b2"]
+        assert _counts(view) == _recompute(BATCHES)
+        # a replay of either batch is recognized
+        assert not apply_delta(view, _delta(BATCHES[1]), "wkey",
+                               {"n": "sum"}, "b1")["applied"]
+
+    def test_compaction_racing_an_append_gives_way(self, tmp_path, monkeypatch):
+        """A compaction computed from version N aborts when an append
+        lands first: the append's rows survive, and the next fold's
+        compaction folds them into the base."""
         from ctinexus_ray.state import ivm, tableformat
 
         view = str(tmp_path / "wc")
-        apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0",
-                    num_partitions=16)
-        real_merge = ivm.merge_upsert
+        big = [" ".join(f"w{i}" for i in range(200))]
+        apply_delta(view, _delta(["a"]), "wkey", {"n": "sum"}, "small")
+        real_read = ivm.read_view
 
-        def overtaken(*args, **kwargs):
-            monkeypatch.setattr(ivm, "merge_upsert", real_merge)
-            apply_delta(view, _delta(BATCHES[1]), "wkey", {"n": "sum"},
-                        "b1", num_partitions=16)
-            return real_merge(*args, **kwargs)
+        def read_then_race(*args, **kwargs):
+            monkeypatch.setattr(ivm, "read_view", real_read)
+            tableformat.write_dataset_version(
+                view, _delta(BATCHES[2]), "append", batch_ids=["racer"]
+            )
+            return real_read(*args, **kwargs)
 
-        monkeypatch.setattr(ivm, "merge_upsert", overtaken)
-        with pytest.raises(tableformat.ConcurrentWriteError):
-            apply_delta(view, _delta(BATCHES[2]), "wkey", {"n": "sum"},
-                        "b2", num_partitions=16)
-        assert applied_ids(view) == ["b0", "b1"]
-        assert _counts(view) == _recompute(BATCHES[:2])
-        # the aborted batch retries cleanly on top of the racer
-        apply_delta(view, _delta(BATCHES[2]), "wkey", {"n": "sum"}, "b2",
-                    num_partitions=16)
-        assert _counts(view) == _recompute(BATCHES)
+        monkeypatch.setattr(ivm, "read_view", read_then_race)
+        out = apply_delta(view, _delta(big), "wkey", {"n": "sum"}, "big")
+        assert out["applied"] is True and out["compacted"] is None
+        assert applied_ids(view) == ["small", "big", "racer"]
+        want = _recompute([["a"], big, BATCHES[2]])
+        assert _counts(view) == want
+        modes = [tableformat.version_mode(view, v) for v in (1, 2, 3)]
+        assert modes == ["append"] * 3
+
+        out = apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b0")
+        assert tableformat.version_mode(view, out["compacted"]) == "compact"
+        assert len(tableformat.version_files(view, out["compacted"])) >= 1
+        assert applied_ids(view) == ["small", "big", "racer", "b0"]
+        assert _counts(view) == _recompute([["a"], big, BATCHES[2], BATCHES[0]])
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -265,7 +273,7 @@ class TestHLLView:
             apply_delta(view, delta, key_col="reg",
                         value_cols={"rho": "max"}, batch_id=f"s{s}")
         got_est = hll_estimate_from_rows(
-            read_version(view).take_all(), p=p
+            read_view(view, "reg", {"rho": "max"}).take_all(), p=p
         )
         assert got_est == want_est
         assert abs(got_est - 37) / 37 < 0.15  # sketch sanity
@@ -285,11 +293,9 @@ class TestHLLView:
         )
         out0 = apply_delta(view, empty, "wkey", {"n": "sum"}, "b0")
         assert out0["applied"] is True
+        # only an empty delta so far (no file, so no schema): reads empty
+        assert read_view(view, "wkey", {"n": "sum"}).count() == 0
         out1 = apply_delta(view, _delta(BATCHES[0]), "wkey", {"n": "sum"}, "b1")
         assert out1["applied"] is True
-        got = {r["word"]: r["n"] for r in read_version(view).take_all()}
-        want = Counter()
-        for t in BATCHES[0]:
-            want.update(t.split())
-        assert got == dict(want)
+        assert _counts(view) == _recompute(BATCHES[:1])
         assert applied_ids(view) == ["b0", "b1"]

@@ -1,6 +1,7 @@
 """Incremental KG derived-layer maintenance (pipelines/kg_incr.py):
-3-tick incremental == full recompute for nodes/triples/edges/metrics,
-exactly-once fold replay, and heal-after-crash reconciliation."""
+incremental == full recompute for nodes/triples/edges/metrics at every
+tick (through compactions), exactly-once fold replay, heal-after-crash
+reconciliation, and one Ray Data execution per non-compacting fold."""
 
 from __future__ import annotations
 
@@ -19,8 +20,10 @@ from ctinexus_ray.sources.synth import write_cc_corpus
 from ctinexus_ray.stages.triples import edges_batch, explode_triples_batch
 from ctinexus_ray.state.tableformat import (
     applied_ids,
+    latest_version,
     read_version,
     version_files,
+    version_mode,
 )
 
 
@@ -28,6 +31,12 @@ from ctinexus_ray.state.tableformat import (
 def corpus_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("cc_incr")
     return [str(p) for p in write_cc_corpus(out, 60, rows_per_file=20)]
+
+
+@pytest.fixture(scope="module")
+def six_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cc_incr6")
+    return [str(p) for p in write_cc_corpus(out, 60, rows_per_file=10)]
 
 
 def _sorted_df(ds) -> pd.DataFrame:
@@ -117,14 +126,45 @@ class TestIncrementalEqualsFull:
             assert res["processed"] == 1 and res["nodes_folded"] == 1
             assert res["triples_folded"] == 1 and res["edges_folded"] == 1
             assert res["metrics_folded"] == 1
-            # hash-partitioned view files span the whole key space:
-            # every tick's merge rewrites every nodes view file
-            assert res["nodes_files_kept"] == 0
-            if tick > 1:
-                assert res["nodes_files_rewritten"] == len(
-                    version_files(f"{out}/nodes_view", tick - 1)
-                )
+            assert res["nodes_compacted"] in (0, 1)
             _assert_views_match_full(out, config)
+
+    def test_six_ticks_through_compaction_match_full_recompute(
+        self, six_files, tmp_path, ray_session, config
+    ):
+        """Six one-shard ticks: the nodes view compacts at least once,
+        and after every tick all four views equal a full recompute."""
+        out = str(tmp_path / "kg")
+        compacted = 0
+        for tick in range(1, 7):
+            res = run_kg_incremental(six_files[:tick], out, config)
+            assert res["nodes_folded"] == 1
+            compacted += res["nodes_compacted"]
+            _assert_views_match_full(out, config)
+        modes = [version_mode(f"{out}/nodes_view", v)
+                 for v in range(1, latest_version(f"{out}/nodes_view") + 1)]
+        assert modes.count("compact") == compacted >= 1
+        assert modes.count("append") == 6
+
+    def test_view_in_merged_layout_reads_identically(
+        self, corpus_files, tmp_path, ray_session, config
+    ):
+        """A nodes view written as one merged row per key (the layout
+        of folds that merged into the view) is a valid base: it reads
+        identically, and later appends fold onto it."""
+        from ctinexus_ray.pipelines.kg import canonicalize_node_partials
+        from ctinexus_ray.state.tableformat import write_dataset_version
+
+        out = str(tmp_path / "kg")
+        run_kg_incremental(corpus_files[:2], out, config)
+        view = f"{out}/nodes_view"
+        before = _sorted_df(read_kg_nodes_view(view))
+        merged = canonicalize_node_partials(_full_docs_kg(out), config)
+        write_dataset_version(view, merged, "overwrite")
+        assert version_mode(view, latest_version(view)) == "overwrite"
+        pd.testing.assert_frame_equal(_sorted_df(read_kg_nodes_view(view)), before)
+        run_kg_incremental(corpus_files, out, config)
+        _assert_views_match_full(out, config)
 
     def test_fold_replay_is_noop(
         self, corpus_files, tmp_path, ray_session, config
@@ -249,12 +289,55 @@ class TestCrashBetweenCommits:
         _assert_views_match_full(out, config)
 
 
+class TestCrashBeforeNodesCommit:
+    def test_replay_after_uncommitted_nodes_delta(
+        self, corpus_files, tmp_path, ray_session, config, monkeypatch
+    ):
+        """A crash between the nodes delta's write and its commit: the
+        replay gives the same views, and vacuum removes the orphaned
+        data dir."""
+        import os
+
+        from ctinexus_ray.state import tableformat
+
+        out = str(tmp_path / "kg")
+        run_kg_incremental(corpus_files[:1], out, config)
+        real = tableformat.commit_version
+
+        def crash(table_dir, *args, **kwargs):
+            if table_dir.endswith("nodes_view"):
+                raise RuntimeError("injected crash before the nodes commit")
+            return real(table_dir, *args, **kwargs)
+
+        monkeypatch.setattr(tableformat, "commit_version", crash)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            run_kg_incremental(corpus_files[:2], out, config)
+        monkeypatch.setattr(tableformat, "commit_version", real)
+        view = f"{out}/nodes_view"
+        committed = set(version_files(view, latest_version(view)))
+        orphans = {os.path.join(d, n) for d, _, names in os.walk(view)
+                   for n in names if n.endswith(".parquet")} - committed
+        assert orphans
+
+        res = fold_kg_derived(out, config)
+        assert res["nodes_folded"] == res["triples_folded"] == 1
+        _assert_views_match_full(out, config)
+        tableformat.vacuum(view, keep_versions=1, older_than_sec=0)
+        assert not any(os.path.exists(f) for f in orphans)
+        _assert_views_match_full(out, config)
+
+
 class TestFoldExecutions:
-    def test_one_tick_runs_at_most_five_executions(
+    def test_fold_runs_one_execution_unless_it_compacts(
         self, corpus_files, tmp_path, ray_session, config, monkeypatch
     ):
         """One pass per tick: the derive map executes inside the nodes
-        merge (the parent's four driver-thread folds ran 11)."""
+        append, so a fold is one Ray Data execution, plus one when it
+        compacts the nodes view. Of two one-shard ticks after the first,
+        at least one does not compact (a compaction's base holds every
+        shard before it)."""
+        import os
+
         from ray.data._internal.execution.streaming_executor import (
             StreamingExecutor,
         )
@@ -263,14 +346,34 @@ class TestFoldExecutions:
 
         out = str(tmp_path / "kg")
         run_kg_incremental(corpus_files[:1], out, config)
-        checkpoint_docs_kg(corpus_files[:2], f"{out}/docs_kg", config)
         calls, real = [], StreamingExecutor.execute
 
         def counted(self, *args, **kwargs):
             calls.append(1)
             return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(StreamingExecutor, "execute", counted)
-        res = fold_kg_derived(out, config)
-        assert res["nodes_folded"] == res["triples_folded"] == 1
-        assert 0 < len(calls) <= 5
+        def parquet_files():
+            return {os.path.join(d, n) for v in ("nodes", "triples", "edges", "metrics")
+                    for d, _, names in os.walk(f"{out}/{v}_view")
+                    for n in names if n.endswith(".parquet")}
+
+        plain = 0
+        for tick in (2, 3):
+            checkpoint_docs_kg(corpus_files[:tick], f"{out}/docs_kg", config)
+            before = parquet_files()
+            calls.clear()
+            monkeypatch.setattr(StreamingExecutor, "execute", counted)
+            res = fold_kg_derived(out, config)
+            monkeypatch.setattr(StreamingExecutor, "execute", real)
+            assert res["nodes_folded"] == res["triples_folded"] == 1
+            assert len(calls) == 1 + res["nodes_compacted"] <= 2
+            if not res["nodes_compacted"]:
+                # the nodes view gains exactly the appended delta's files
+                plain += 1
+                view = f"{out}/nodes_view"
+                v = latest_version(view)
+                delta = set(version_files(view, v)) - set(version_files(view, v - 1))
+                new = parquet_files() - before
+                assert {f for f in new if "/nodes_view/" in f} == delta
+            _assert_views_match_full(out, config)
+        assert plain >= 1

@@ -9,6 +9,7 @@ import sys
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "jobs"))
 
@@ -80,25 +81,69 @@ class TestStreamJob:
         assert (s2["new_shards"], s2["rows_appended"], s2["version"]) == (1, 1, 2)
         assert _table_ids(table) == [7]
 
-    def test_crash_replay_is_idempotent(self, ray_session, tmp_path):
+    def test_crash_replay_is_idempotent(self, ray_session, tmp_path,
+                                        monkeypatch):
+        """The tick's shard paths ride in its corpus commit's ledger:
+        a rerun after the commit ingests nothing, and a rerun after a
+        crash before the commit ingests the shard once."""
+        from ctinexus_ray.state import tableformat
+
         inp = tmp_path / "in"
         inp.mkdir()
         table = str(tmp_path / "tbl")
         os.makedirs(table)
         _shard(inp / "a.parquet", [1, 2, 3])
         run_tick(str(inp), table, num_partitions=4)
-        # simulate a crash BETWEEN commit and ledger write: drop the
-        # ledger so the same shard replays
-        os.remove(os.path.join(table, "_ingest_ledger.json"))
+        assert applied_ids(table) == [str(inp / "a.parquet")]
         s = run_tick(str(inp), table, num_partitions=4)
-        assert s["new_shards"] == 1
-        assert s["rows_appended"] == 0  # anti-join swallowed the replay
-        assert _table_ids(table) == [1, 2, 3]
-        # history preserved: v1 still readable, v2 identical contents
+        assert s["new_shards"] == 0 and s["version"] == 1
+
+        _shard(inp / "b.parquet", [3, 4])
+        real = tableformat.commit_version
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("injected crash before the corpus commit")
+
+        monkeypatch.setattr(tableformat, "commit_version", crash)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            run_tick(str(inp), table, num_partitions=4)
+        monkeypatch.setattr(tableformat, "commit_version", real)
+        s = run_tick(str(inp), table, num_partitions=4)
+        assert (s["new_shards"], s["rows_appended"], s["version"]) == (1, 1, 2)
+        assert _table_ids(table) == [1, 2, 3, 4]
+        # history preserved: v1 still readable
         from ctinexus_ray.state.tableformat import read_version
 
         assert read_version(table, 1).count() == 3
-        assert read_version(table, 2).count() == 3
+
+    def test_old_json_ledgers_are_honoured(self, ray_session, tmp_path):
+        """A table ingested by a stream that kept its shard ledger (and
+        its KG view cursor) in JSON files neither re-ingests those
+        shards nor refolds those versions."""
+        from stream_job import _maintain_kg_view
+
+        inp = tmp_path / "in"
+        inp.mkdir()
+        table = str(tmp_path / "tbl")
+        kg = str(tmp_path / "kg")
+        os.makedirs(table)
+        os.makedirs(kg)
+        _shard(inp / "a.parquet", [1, 2])
+        run_tick(str(inp), table, num_partitions=4)
+        # the table as the JSON-ledger stream left it: no commit ledger
+        with open(os.path.join(table, "manifest-v1.json")) as fh:
+            manifest = json.load(fh)
+        manifest.pop("extra")
+        with open(os.path.join(table, "manifest-v1.json"), "w") as fh:
+            json.dump(manifest, fh)
+        with open(os.path.join(table, "_ingest_ledger.json"), "w") as fh:
+            json.dump({"shards": [str(inp / "a.parquet")]}, fh)
+        with open(os.path.join(kg, "_KG_VIEW_LEDGER.json"), "w") as fh:
+            json.dump({"applied": ["corpus-v1"]}, fh)
+
+        assert run_tick(str(inp), table, num_partitions=4)["new_shards"] == 0
+        assert _maintain_kg_view(table, kg) == {"kg_folded": 0}
+        assert not os.path.exists(os.path.join(kg, "docs_kg"))
 
     def test_mixed_format_shards(self, ray_session, tmp_path):
         from ctinexus_ray.sources.avro import build_avro, CORPUS_SCHEMA
@@ -221,11 +266,10 @@ class TestWordcountView:
 
     @staticmethod
     def _view_counts(view_dir):
-        from ctinexus_ray.state.tableformat import read_version
+        from ctinexus_ray.state.ivm import read_view
 
-        return {
-            r["word"]: r["n"] for r in read_version(view_dir).take_all()
-        }
+        return {r["word"]: r["n"] for r in
+                read_view(view_dir, "wkey", {"n": "sum"}).take_all()}
 
     def test_view_tracks_ticks(self, ray_session, tmp_path):
         inp = tmp_path / "in"

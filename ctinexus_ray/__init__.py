@@ -19,7 +19,7 @@ transforms over a corpus-scale Dataset and adds the corpus-level operators a
 web-scale (10^12-doc design point) deployment needs: cross-doc entity
 canonicalization, dedup (exact / MinHash-LSH / SimHash / n-gram Jaccard /
 embedding), similarity search, text quality analysis, and resumable
-partitioned Parquet output with lineage sidecars.
+partitioned Parquet output with per-shard lineage in versioned manifests.
 """
 
 from ctinexus_ray.config import PipelineConfig

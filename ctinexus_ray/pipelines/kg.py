@@ -318,9 +318,11 @@ def checkpoint_docs_kg(
     demos: list[dict] | None = None,
     reader=None,
 ) -> dict:
-    """The expensive per-doc stages, run per INPUT SHARD with
-    per-partition commits + lineage sidecars (extract -> fused LLM
-    task map -> KG_DOC_COLUMNS). The checkpoint half of
+    """The expensive per-doc stages, run per INPUT SHARD (extract ->
+    fused LLM task map -> KG_DOC_COLUMNS) through ``run_resumable``: the
+    shard's tasks write its docs_kg files and one ledgered manifest
+    commit adds them, with the shard's ``metrics_total`` counters as its
+    lineage. The checkpoint half of
     ``pipelines/kg_incr.run_kg_incremental``; ``reader`` maps one shard
     path to a CC-shaped Dataset (default: the parquet reader
     ``sources.documents.read_cc``)."""
@@ -332,17 +334,10 @@ def checkpoint_docs_kg(
             extract_documents(ds, config), config, demos
         ).select_columns(KG_DOC_COLUMNS)
 
-    def lineage_fn(table: pa.Table) -> dict:
-        # the metrics table's counters, under its names: summed over
-        # shards they equal ``metrics_total`` of the same docs_kg
-        return {"docs": table.num_rows, **{
-            out: int(pa.compute.sum(table.column(col)).as_py() or 0)
-            for out, col in METRIC_SOURCES.items()
-        }}
-
     return run_resumable(
         input_files, docs_kg_dir, pipeline, reader=reader or read_cc,
-        lineage_fn=lineage_fn,
+        lineage_fn=lambda files: (metrics_total(files).select(METRIC_COLUMNS).to_pylist()
+                                  or [dict.fromkeys(METRIC_COLUMNS, 0)])[0],
     )
 
 

@@ -21,22 +21,24 @@ docs_kg shards committed since the last fold through ONE pass of the
 full build's derive map (``kg.derive_partials``):
 
     out/
-      docs_kg/        per-shard checkpoint (run_resumable, unchanged)
+      docs_kg/        per-shard checkpoint (run_resumable): a versioned
+                      table, one ledgered append per input shard
       nodes_view/     IVM view: each tick appends the pass's entity
                       partials (one apply_delta); reads reduce them by
                       Sum/Max, and the view compacts once its deltas
                       reach its base's bytes
       triples_view/   append table: the files the pass's tasks wrote
       edges_view/     append table: the files the pass's tasks wrote
-      metrics_view/   append table: one ``metrics_total`` row per fold,
-                      summed at read time
+      metrics_view/   append table: one ``metrics_total`` row per fold;
+                      each fold then sums the rows into one file (a
+                      ``compact`` commit), and reads sum what is left
 
-Exactly-once: each table's manifest carries its own applied-shard
-ledger, written by ``commit_version(batch_ids=...)`` atomically with
-the data commit — a crash between two tables' commits leaves the next
-fold the shards that some tables still lack, and it folds them into
-exactly those tables. Incremental == full
-recompute by the monoid-fold argument (pinned by
+Exactly-once: docs_kg's ledger records the checkpointed shards, and
+each view's manifest carries its own applied-shard ledger, written by
+``commit_version(batch_ids=...)`` atomically with the data commit — a
+crash between two tables' commits leaves the next fold the shards that
+some tables still lack, and it folds them into exactly those tables.
+Incremental == full recompute by the monoid-fold argument (pinned by
 tests/test_kg_incr.py after every tick of 3- and 6-tick corpora,
 through compactions, against the ``kg.py`` full-derivation oracle).
 
@@ -51,6 +53,7 @@ from __future__ import annotations
 import os
 import uuid
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray.data
@@ -58,13 +61,20 @@ import ray.data
 from ctinexus_ray.config import PipelineConfig
 from ctinexus_ray.pipelines.kg import (
     METRIC_COLUMNS,
+    METRICS_SCHEMA,
     derive_partials,
     metrics_total,
     strip_class_rank_batch,
 )
-from ctinexus_ray.state.checkpoint import completed_partitions
+from ctinexus_ray.state.checkpoint import committed_shards as committed_kg_shards
 from ctinexus_ray.state.ivm import apply_delta, read_view
-from ctinexus_ray.state.tableformat import applied_ids, commit_version
+from ctinexus_ray.state.tableformat import (
+    ConcurrentWriteError,
+    applied_ids,
+    commit_version,
+    latest_version,
+    version_files,
+)
 
 _VIEWS = ("nodes", "triples", "edges", "metrics")
 _NODE_VALUE_COLS = {
@@ -75,20 +85,35 @@ _NODE_VALUE_COLS = {
 }
 
 
-def committed_kg_shards(docs_kg_dir: str) -> list[tuple[str, str]]:
-    """[(pid, part path)] of checkpoint shards whose lineage sidecar
-    exists — the only shards a fold may read (a part file without its
-    sidecar is an in-flight write)."""
-    out = []
-    for pid in sorted(completed_partitions(docs_kg_dir)):
-        part = os.path.join(docs_kg_dir, f"part-{pid}.parquet")
-        if os.path.exists(part):
-            out.append((pid, part))
-    return out
-
-
 def _bid(pid: str) -> str:
     return f"kgshard-{pid}"
+
+
+def _sum_metrics(files: list[str]) -> pa.Table:
+    """The metrics rows of ``files`` summed per stage, by driver-side
+    pyarrow over a few one-row files (files an earlier fold wrote also
+    hold an internal ``stage_key`` column, not read here)."""
+    rows = pa.concat_tables([METRICS_SCHEMA.empty_table(), *(
+        pq.read_table(f, columns=METRICS_SCHEMA.names) for f in files)])
+    sums = rows.group_by("stage").aggregate([(c, "sum") for c in METRIC_COLUMNS])
+    return pa.table([sums["stage"], *(sums[f"{c}_sum"] for c in METRIC_COLUMNS)],
+                    schema=METRICS_SCHEMA)
+
+
+def _compact_metrics(view_dir: str) -> None:
+    """Sum the metrics view's files into one, as a ``compact`` commit
+    pinned to the version it read; a concurrent append wins and the
+    next fold compacts. No Ray execution."""
+    version = latest_version(view_dir)
+    files = version_files(view_dir, version)
+    if len(files) < 2:
+        return
+    path = os.path.join(view_dir, f"data-{uuid.uuid4().hex[:12]}.parquet")
+    pq.write_table(_sum_metrics(files), path)
+    try:
+        commit_version(view_dir, [path], "compact", expected_parent=version)
+    except ConcurrentWriteError:
+        os.remove(path)
 
 
 def fold_kg_derived(
@@ -102,28 +127,31 @@ def fold_kg_derived(
     partials go straight into the nodes view's ``apply_delta``, whose
     append executes the pass. Then triples and edges each adopt their
     files with one append commit, and the metrics view appends the
-    shards' ``metrics_total`` row. Idempotent per table (own ledgers);
-    appends of disjoint shard sets commute, so a concurrent fold lands
-    too.
+    shards' ``metrics_total`` row, then sums its rows into one file.
+    Idempotent per table (own ledgers); appends of disjoint shard sets
+    commute, so a concurrent fold lands too.
 
     Cost is O(new docs): one execution per tick, whose writes are the
     tick's own partials, triples and edges. When the nodes view's deltas
     reach its base's bytes, ``apply_delta`` compacts it with a second
     execution (``nodes_compacted`` counts those)."""
     config = config or PipelineConfig()
-    shards = committed_kg_shards(os.path.join(out_dir, "docs_kg"))
+    shards: dict[str, list[str]] = {}
+    for pid, path in committed_kg_shards(os.path.join(out_dir, "docs_kg")):
+        shards.setdefault(pid, []).append(path)
     dirs = {v: os.path.join(out_dir, f"{v}_view") for v in _VIEWS}
     applied = {v: set(applied_ids(d)) for v, d in dirs.items()}
-    groups: dict[tuple[str, ...], list[tuple[str, str]]] = {}
-    for pid, path in shards:
+    groups: dict[tuple[str, ...], list[str]] = {}
+    for pid in shards:
         lacking = tuple(v for v in _VIEWS if _bid(pid) not in applied[v])
         if lacking:
-            groups.setdefault(lacking, []).append((pid, path))
+            groups.setdefault(lacking, []).append(pid)
 
     stats = {"kg_shards": len(shards), "nodes_compacted": 0,
              **{f"{v}_folded": 0 for v in _VIEWS}}
-    for lacking, todo in groups.items():
-        files, bids = [f for _, f in todo], [_bid(p) for p, _ in todo]
+    for lacking, pids in groups.items():
+        files = [f for p in pids for f in shards[p]]
+        bids = [_bid(p) for p in pids]
         data_dirs = {v: os.path.join(dirs[v], f"data-{uuid.uuid4().hex[:12]}")
                      for v in ("triples", "edges") if v in lacking}
         for d in data_dirs.values():
@@ -151,8 +179,9 @@ def fold_kg_derived(
             pq.write_table(metrics_total(files), path)
             commit_version(dirs["metrics"], [path], mode="append",
                            batch_ids=bids)
+            _compact_metrics(dirs["metrics"])
         for v in lacking:
-            stats[f"{v}_folded"] += len(todo)
+            stats[f"{v}_folded"] += len(pids)
     return stats
 
 
@@ -167,12 +196,10 @@ def read_kg_nodes_view(view_dir: str) -> ray.data.Dataset:
 
 
 def read_kg_metrics_view(view_dir: str) -> ray.data.Dataset:
-    """The corpus metrics rollup: the view's per-fold rows summed to one,
-    in one block (views an earlier fold wrote also hold an internal
-    ``stage_key`` column, not read here)."""
-    return read_view(
-        view_dir, "stage", dict.fromkeys(METRIC_COLUMNS, "sum")
-    ).select_columns(["stage", *METRIC_COLUMNS]).repartition(1)
+    """The corpus metrics rollup: the latest version's per-fold rows
+    summed to one, in one block."""
+    return ray.data.from_arrow(
+        _sum_metrics(version_files(view_dir, latest_version(view_dir))))
 
 
 def run_kg_incremental(
@@ -183,9 +210,10 @@ def run_kg_incremental(
     reader=None,
 ) -> dict:
     """The resumable corpus run: the expensive per-doc stages execute
-    per INPUT SHARD, each committing a ``part-<pid>.parquet`` +
-    ``_SUCCESS.<pid>.json`` lineage sidecar under ``out_dir/docs_kg``
-    (a restarted run skips committed shards); the derived layer then
+    per INPUT SHARD, whose tasks write its ``part-<pid>-...`` files under
+    ``out_dir/docs_kg``; one ledgered manifest commit per shard adds them
+    with the shard's lineage (a restarted run skips committed shards,
+    and ``read_lineage`` returns the records); the derived layer then
     FOLDS the new shards into persisted versioned tables, read with
     ``read_version`` / ``read_kg_nodes_view`` /
     ``read_kg_metrics_view``. A tick that adds one shard to a

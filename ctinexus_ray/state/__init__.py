@@ -1,1 +1,2 @@
-"""Execution state: resumable partitioned output with lineage sidecars."""
+"""Execution state: versioned tables, resumable partitioned output and
+IVM views."""

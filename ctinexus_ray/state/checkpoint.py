@@ -1,32 +1,40 @@
-"""Resumable partitioned Parquet output with per-partition lineage sidecars
+"""Resumable partitioned Parquet output with per-partition lineage
 (SURVEY §7.1 step 9; north_star "per-partition lineage and metrics
-checkpoints enabling resume").
+checkpoints enabling resume"). The output root is a versioned table
+(``state/tableformat``): a shard's tasks write its
+``part-<pid>-...parquet`` files, then one ledgered append commits them
+with the shard's lineage (input file, rows, wall time, stage metrics).
 
-Layout per output root:
-
-    out/
-      part-<pid>.parquet          one file per input partition
-      _SUCCESS.<pid>.json         lineage sidecar: input files, row counts,
-                                  stage metrics, wall time
-
-Partition ids are DETERMINISTIC — derived from the input parquet file list
-— so a restarted job computes the same ids, filters out the ones whose
-sidecar already exists, and only processes the remainder. Ray Data handles
-intra-run task retries (lineage re-execution); this layer handles
-cross-run resume, which Ray does not provide.
+Partition ids are DETERMINISTIC — derived from the input file path — so
+a restarted job computes the same ids, skips those in the ledger, and
+only processes the remainder; a crash before a commit leaves files no
+version lists (``vacuum`` removes them). Ray Data handles intra-run task
+retries (lineage re-execution); this layer handles cross-run resume,
+which Ray does not provide.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
+import uuid
 from pathlib import Path
 from typing import Callable
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
+from ray.data.datasource import FilenameProvider
+
+from ctinexus_ray.state.tableformat import (
+    applied_ids,
+    commit_version,
+    latest_version,
+    version_extra,
+    version_files,
+    version_mode,
+)
 
 
 def partition_id(input_file: str) -> str:
@@ -39,50 +47,36 @@ def list_input_partitions(input_files: list[str]) -> list[tuple[str, str]]:
     return [(partition_id(f), f) for f in sorted(input_files)]
 
 
-def completed_partitions(out_dir: str | Path) -> set[str]:
-    """Partition ids whose _SUCCESS sidecar exists."""
-    out = Path(out_dir)
-    if not out.exists():
-        return set()
-    return {
-        p.name[len("_SUCCESS.") : -len(".json")]
-        for p in out.glob("_SUCCESS.*.json")
-    }
+def adopt_sidecar_layout(out_dir: str | Path) -> None:
+    """Adopt a directory in the old layout (``part-<pid>.parquet`` beside
+    a ``_SUCCESS.<pid>.json`` record, no manifest) as ONE ledgered commit
+    of its parts and records, so it resumes without recomputing. A part
+    without a sidecar was never committed; an empty shard's part (maybe
+    schemaless) stays out, as an empty shard commits no file."""
+    out = str(out_dir)
+    if latest_version(out) is not None:
+        return
+    records = [json.loads(p.read_text())
+               for p in sorted(Path(out).glob("_SUCCESS.*.json"))]
+    if not records:
+        return
+    files = [os.path.join(out, f"part-{r['partition_id']}.parquet")
+             for r in records if r["rows"]]
+    commit_version(out, files, "append", extra={"lineage": records},
+                   batch_ids=[r["partition_id"] for r in records])
 
 
-def pending_partitions(
-    input_files: list[str], out_dir: str | Path
-) -> list[tuple[str, str]]:
-    """Partitions still to process (resume filter)."""
-    done = completed_partitions(out_dir)
-    return [(pid, f) for pid, f in list_input_partitions(input_files) if pid not in done]
+class _ShardFiles(FilenameProvider):
+    """Task-side file names of one shard's write: ``token`` is drawn per
+    run, so the driver commits exactly its own write's files (a crashed
+    or racing run of the shard has another token). Ray requires its
+    write uuid in the name; a retried task rewrites its own file."""
 
+    def __init__(self, pid: str, token: str):
+        self.prefix = f"part-{pid}-{token}-"
 
-def write_partition(
-    out_dir: str | Path,
-    pid: str,
-    table: pa.Table,
-    lineage: dict,
-) -> None:
-    """Write one partition atomically: data first, sidecar last (the
-    sidecar is the commit record — a crash between the two writes leaves a
-    re-doable partition, never a half-committed one)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    data_path = out / f"part-{pid}.parquet"
-    tmp_path = out / f".part-{pid}.parquet.tmp"
-    pq.write_table(table, tmp_path)
-    tmp_path.rename(data_path)
-    sidecar = {
-        "partition_id": pid,
-        "rows": table.num_rows,
-        "columns": table.column_names,
-        **lineage,
-    }
-    sidecar_path = out / f"_SUCCESS.{pid}.json"
-    tmp_sidecar = out / f"._SUCCESS.{pid}.json.tmp"
-    tmp_sidecar.write_text(json.dumps(sidecar, indent=2))
-    tmp_sidecar.rename(sidecar_path)
+    def get_filename_for_block(self, block, write_uuid, task_index, block_index):
+        return f"{self.prefix}{write_uuid}-{task_index:06d}-{block_index:06d}.parquet"
 
 
 def run_resumable(
@@ -90,59 +84,82 @@ def run_resumable(
     out_dir: str | Path,
     pipeline: Callable[[ray.data.Dataset], ray.data.Dataset],
     reader: Callable[[str], ray.data.Dataset] | None = None,
-    lineage_fn: Callable[[pa.Table], dict] | None = None,
+    lineage_fn: Callable[[list[str]], dict] | None = None,
 ) -> dict:
-    """Run ``pipeline`` per input partition, skipping completed ones.
+    """Run ``pipeline`` per input partition, skipping committed ones.
 
-    Each partition runs as its own small streaming Dataset execution and
-    commits independently — a failed run resumes at the first partition
-    without a sidecar. Returns a summary {"processed", "skipped", "rows"}.
+    Each pending partition runs as its own streaming execution whose
+    tasks write the files; the driver then commits them with one
+    ``commit_version(..., batch_ids=[pid])`` carrying the shard's lineage
+    (``lineage_fn(files)`` adds keys). An empty shard commits its pid
+    alone; a racing run of the shard finds it applied and commits
+    nothing. Returns a summary {"processed", "skipped", "rows"}.
 
     Scale note: per-partition executions trade a little scheduling overhead
     for exact resume granularity; input files for a 10^12-doc corpus are
     row-group-sized shards, so each execution still saturates the cluster
     via Ray Data's internal parallelism over row groups.
     """
-    reader = reader or (lambda f: ray.data.read_parquet(f))
-    pending = pending_partitions(input_files, out_dir)
-    done = len(input_files) - len(pending)
+    out = str(out_dir)
+    os.makedirs(out, exist_ok=True)  # an empty write creates no directory
+    adopt_sidecar_layout(out)
+    reader = reader or ray.data.read_parquet
+    done = set(applied_ids(out))
+    pending = [(pid, f) for pid, f in list_input_partitions(input_files)
+               if pid not in done]
     rows_total = 0
     for pid, input_file in pending:
         start = time.time()
-        ds = pipeline(reader(input_file))
-        batches = list(ds.iter_batches(batch_format="pyarrow"))
-        if batches:
-            table = pa.concat_tables(batches)
-        else:
-            # a partition whose pipeline output is legitimately empty
-            # (e.g. every doc failed a quality filter) still commits —
-            # otherwise the shard can never gain a sidecar and every
-            # rerun crashes on it
-            try:
-                from ctinexus_ray.ops.distjoin import _arrow_type
-
-                schema = ds.schema()
-                table = pa.schema(
-                    [
-                        (n, _arrow_type(t))
-                        for n, t in zip(schema.names, schema.types)
-                    ]
-                ).empty_table()
-            except Exception:  # noqa: BLE001 — schema unknown on empty
-                table = pa.table({})
-        rows_total += table.num_rows
+        names = _ShardFiles(pid, uuid.uuid4().hex[:8])
+        pipeline(reader(input_file)).write_parquet(out, filename_provider=names)
+        files = [os.path.join(out, n) for n in sorted(os.listdir(out))
+                 if n.startswith(names.prefix)]
+        rows = sum(pq.read_metadata(f).num_rows for f in files)
+        rows_total += rows
         lineage = {
+            "partition_id": pid,
             "input_file": input_file,
+            "rows": rows,
             "wall_time_s": round(time.time() - start, 3),
         }
         if lineage_fn is not None:
-            lineage.update(lineage_fn(table))
-        write_partition(out_dir, pid, table, lineage)
-    return {"processed": len(pending), "skipped": done, "rows": rows_total}
+            lineage.update(lineage_fn(files))
+        commit_version(out, files, "append", extra={"lineage": [lineage]},
+                       batch_ids=[pid])
+    return {"processed": len(pending), "skipped": len(input_files) - len(pending),
+            "rows": rows_total}
+
+
+def committed_shards(out_dir: str | Path) -> list[tuple[str, str]]:
+    """[(pid, file)] of the latest version, each pid parsed from its
+    file's ``part-<pid>...`` name (a shard may have several files, an
+    empty shard none). A file no version lists is an uncommitted write
+    that no reader may see."""
+    out = str(out_dir)
+    version = latest_version(out)
+    if version is None:
+        return []
+    return sorted(
+        (os.path.basename(f)[len("part-"):].split("-")[0].removesuffix(".parquet"), f)
+        for f in version_files(out, version)
+    )
 
 
 def read_lineage(out_dir: str | Path) -> list[dict]:
-    """All sidecars (the per-partition metrics/lineage record)."""
-    return [
-        json.loads(p.read_text()) for p in sorted(Path(out_dir).glob("_SUCCESS.*.json"))
-    ]
+    """One lineage record per shard of the latest version, oldest first.
+    Each shard commit carries its own record (an Iceberg-style snapshot
+    summary), so this walks the manifests back to the first or the newest
+    overwrite, which restates the records of the shards it keeps. A
+    vacuum that expires a shard's manifest drops its record."""
+    out = str(out_dir)
+    records: list[dict] = []
+    version = latest_version(out)
+    while version:
+        try:
+            records[:0] = version_extra(out, version).get("lineage", [])
+            if version_mode(out, version) != "append":
+                break
+        except FileNotFoundError:  # vacuumed history
+            break
+        version -= 1
+    return records

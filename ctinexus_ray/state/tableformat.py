@@ -13,8 +13,9 @@ or deleted by a commit, so every historical version stays readable
 until an explicit vacuum.
 
 The reference system has no table format (single-document tool); this
-exists for the corpus-scale output-management path next to
-``state/checkpoint.py``'s per-shard lineage."""
+exists for the corpus-scale output-management path, and is the commit
+record of every output: ``state/checkpoint.run_resumable`` commits each
+input shard here as one ledgered append carrying its lineage."""
 
 from __future__ import annotations
 

@@ -1,12 +1,13 @@
 """``ray job submit`` entrypoint for parquet small-file compaction.
 
-Resumable jobs in this engine commit one parquet file per input shard
-(the per-shard ``_SUCCESS`` layout) — correct for resume, but at crawl
-scale it leaves thousands of small files that slow every later scan
-(per-file open/footer cost dominates under ~64 MB). This job rewrites a
-directory of parquet files into ~target-size files:
+Per-shard outputs leave thousands of small files at crawl scale, which
+slow every later scan (per-file open/footer cost dominates under
+~64 MB). This job rewrites a plain directory of parquet files into
+~target-size files. It reads every ``*.parquet`` in the directory, so
+it is not for a versioned table such as a ``run_resumable`` output,
+which may hold files no version lists:
 
-    python jobs/compact_job.py --input /data/kg/docs_kg --output /data/kg/docs_kg_compact
+    python jobs/compact_job.py --input /data/refined --output /data/refined_compact
 
 Shape: the driver holds only file paths + sizes (os.stat — no data),
 greedy-packs them into buckets of ``--target-mb``, and one Ray task per

@@ -16,12 +16,13 @@ On a real cluster:
         python jobs/crawl_job.py --input s3://bucket/warc/ --output s3://bucket/refined/
 
 Resume shape (the repo-wide two-phase pattern): the per-shard stages
-commit through ``state/checkpoint.run_resumable`` (one parquet +
-lineage sidecar per input shard; a rerun reports ``skipped: N``), with
-ALL rows kept and the robots / C4 verdicts stored as BOOLEAN columns —
-accounting survives the checkpoint, and the cheap derived phase
-(filter -> canonicalize -> keep-latest -> final parquet) is idempotent
-and re-runs from the checkpoint alone.
+commit through ``state/checkpoint.run_resumable`` (one ledgered
+manifest commit of the shard's files and lineage per input shard; a
+rerun reports ``skipped: N``), with ALL rows kept and the robots / C4
+verdicts stored as BOOLEAN columns — accounting survives the
+checkpoint, and the cheap derived phase (filter -> canonicalize ->
+keep-latest -> final parquet) is idempotent and re-runs from the
+checkpoint's latest version alone.
 """
 
 from __future__ import annotations
@@ -155,37 +156,36 @@ def run_crawl_job(
             .drop_columns(["cti_text"])  # kg-specific; kg_job derives it
         )
 
-    def lineage_fn(table: pa.Table) -> dict:
+    def lineage_fn(files: list[str]) -> dict:
         import pyarrow.compute as pc
+        import pyarrow.dataset as pds
 
-        def n_true(col):
-            return int(pc.sum(table.column(col).cast(pa.int64())).as_py() or 0)
-
-        return {
-            "rows": table.num_rows,
-            "robots_allowed": n_true("robots_allowed"),
-            "c4_kept": n_true("c4_keep"),
-        }
+        flags = pds.dataset(files, format="parquet", schema=pa.schema(
+            [("robots_allowed", pa.bool_()), ("c4_keep", pa.bool_())])).to_table()
+        return {"robots_allowed": pc.sum(flags["robots_allowed"]).as_py() or 0,
+                "c4_kept": pc.sum(flags["c4_keep"]).as_py() or 0}
 
     pages_dir = out / "pages"
     summary = run_resumable(
         files, pages_dir, pipeline, reader=reader, lineage_fn=lineage_fn
     )
     # fold the per-shard lineage into job totals (covers resumed shards
-    # too — the sidecars ARE the accounting record)
+    # too — the lineage records ARE the accounting record)
     from ctinexus_ray.state.checkpoint import read_lineage
 
-    sidecars = read_lineage(pages_dir)
-    summary["robots_allowed"] = sum(r.get("robots_allowed", 0) for r in sidecars)
-    summary["c4_kept"] = sum(r.get("c4_kept", 0) for r in sidecars)
+    lineage = read_lineage(pages_dir)
+    summary["robots_allowed"] = sum(r.get("robots_allowed", 0) for r in lineage)
+    summary["c4_kept"] = sum(r.get("c4_kept", 0) for r in lineage)
 
     # ---- derived phase: idempotent over the checkpoint ----
-    import pyarrow.compute as pc
     import pyarrow.dataset as pds
+
+    from ctinexus_ray.state.tableformat import read_version
 
     final_dir = out / "refined"
     shutil.rmtree(final_dir, ignore_errors=True)  # write_parquet appends
-    pages = ray.data.read_parquet(
+    # the latest version only: a crashed shard run's files are not in it
+    pages = read_version(
         str(pages_dir),
         filter=(pds.field("robots_allowed") & pds.field("c4_keep")),
     )

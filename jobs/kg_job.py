@@ -7,7 +7,8 @@ On a real cluster (the north_rule deployment shape):
 
 The job connects to the submitting cluster (``ray.init()`` with no
 address resolves RAY_ADDRESS inside the job runtime), streams the corpus
-through the resumable runner (per-shard commits + lineage sidecars),
+through the resumable runner (one ledgered manifest commit per shard,
+carrying its lineage),
 folds the new shards into the versioned derived tables
 (``pipelines/kg_incr.py``), and exits cleanly so a rerun after any
 failure resumes where it stopped.

@@ -14,8 +14,8 @@ Two phases with different (honest) resume granularity:
 
   phase 2 — per-partition quality filter (Gopher-style rules) -> token
   count -> sequence packing, via ``state.checkpoint.run_resumable``: each
-  deduped shard commits independently with a lineage sidecar
-  (``_SUCCESS.<pid>.json``), so a crashed run resumes at the first
+  deduped shard commits independently as one ledgered manifest commit
+  of its files and lineage, so a crashed run resumes at the first
   unfinished shard (``skipped: N`` on rerun). Packing is per-shard (pack
   ids are unique per shard via the shard id) — the standard layout where
   each output file is a self-contained bundle of training packs.
@@ -417,6 +417,19 @@ def prep_pipeline(capacity: int, min_words: int):
     return run
 
 
+def _pack_lineage(files: list[str]) -> dict:
+    """Per-shard pack metrics, scanned from the shard's committed files
+    (a shard whose every doc failed the quality gate has none)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pds
+
+    packs = pds.dataset(files, format="parquet", schema=pa.schema(
+        [("pack_id", pa.int64()), ("n_tokens", pa.int64())])).to_table()
+    return {"n_packs": len(pc.unique(packs["pack_id"])),
+            "n_tokens": pc.sum(packs["n_tokens"]).as_py() or 0}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--input", required=True, help="parquet dir or file")
@@ -508,18 +521,7 @@ def main() -> int:
         shard_files,
         shards_dir,
         prep_pipeline(args.capacity, args.min_words),
-        # a shard whose every doc failed the quality gate commits an
-        # EMPTY (schemaless) table — record zeros, don't crash
-        lineage_fn=lambda t: {
-            "n_packs": (
-                len(set(t.column("pack_id").to_pylist()))
-                if "pack_id" in t.column_names else 0
-            ),
-            "n_tokens": (
-                sum(t.column("n_tokens").to_pylist())
-                if "n_tokens" in t.column_names else 0
-            ),
-        },
+        lineage_fn=_pack_lineage,
     )
     report = {"dedup": dedup_stats, "shards": summary}
     if spans_stats is not None:

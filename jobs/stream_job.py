@@ -379,24 +379,29 @@ def _maintain_text_index(
 
 
 def _drop_stale_kg_state(kg_dir: str, keep_pids: set) -> None:
-    """Before a KG-view rebuild: delete the four derived views and every
-    docs_kg shard whose pid is not in ``keep_pids``. A dropped shard's
-    sidecar goes before its part file, so a crash in between leaves an
-    uncommitted part, never a committed shard without data."""
-    import glob
+    """Before a KG-view rebuild: delete the four derived views, and drop
+    every docs_kg shard whose pid is not in ``keep_pids`` with ONE
+    overwrite commit keeping the others' files and lineage by reference.
+    The ledger keeps the dropped pids: a pid hashes an immutable corpus
+    data-file path, which no later corpus version reuses."""
     import shutil
 
-    from ctinexus_ray.state.checkpoint import completed_partitions
+    from ctinexus_ray.state.checkpoint import (
+        adopt_sidecar_layout,
+        committed_shards,
+        read_lineage,
+    )
+    from ctinexus_ray.state.tableformat import commit_version, latest_version
 
     for view in ("nodes_view", "triples_view", "edges_view", "metrics_view"):
         shutil.rmtree(os.path.join(kg_dir, view), ignore_errors=True)
     docs_kg = os.path.join(kg_dir, "docs_kg")
-    for pid in completed_partitions(docs_kg) - keep_pids:
-        os.remove(os.path.join(docs_kg, f"_SUCCESS.{pid}.json"))
-    for part in glob.glob(os.path.join(docs_kg, "part-*.parquet")):
-        pid = os.path.basename(part)[len("part-"):-len(".parquet")]
-        if pid not in keep_pids:
-            os.remove(part)
+    adopt_sidecar_layout(docs_kg)
+    parent = latest_version(docs_kg)
+    kept = [f for pid, f in committed_shards(docs_kg) if pid in keep_pids]
+    lineage = [r for r in read_lineage(docs_kg) if r["partition_id"] in keep_pids]
+    commit_version(docs_kg, kept, "overwrite", extra={"lineage": lineage},
+                   expected_parent=parent)
 
 
 def _maintain_kg_view(table_dir: str, kg_dir: str) -> dict:
@@ -410,8 +415,8 @@ def _maintain_kg_view(table_dir: str, kg_dir: str) -> dict:
 
     Reconciliation: the metrics view's commit ledger also records the
     applied corpus versions (ledger-only commits); it is only an
-    optimization — every underlying step is idempotent (docs_kg shard
-    sidecars skip completed shards, the fold tables' own ledgers skip
+    optimization — every underlying step is idempotent (the docs_kg
+    ledger skips checkpointed shards, the fold tables' own ledgers skip
     folded shards), so a crash anywhere replays into no-ops.
     Compaction versions mark applied without work (their rewritten
     files would otherwise look like new shards and double-fold); a

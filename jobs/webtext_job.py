@@ -6,7 +6,7 @@ recipe):
 
     phase crawl    WARC/CC shards -> robots politeness -> html->text
                    extraction -> langid -> optional C4 -> canonical-URL
-                   dedup         (jobs/crawl_job.py, per-shard sidecars)
+                   dedup         (jobs/crawl_job.py, per-shard commits)
     phase commit   refined shards committed BY REFERENCE as a version
                    of the corpus table (state/tableformat) — the
                    versioned-table handoff every consumer reads; the
@@ -21,9 +21,10 @@ recipe):
                    sequence packing  (jobs/prepare_job.py phases, input
                    = the committed version's exact file set)
 
-Resume: every phase is idempotent — crawl by per-shard sidecars + its
-marker, commit by the manifest ledger, index by the applied-version
-ledger, prepare by its dedup marker + per-shard sidecars. A rerun of a
+Resume: every phase is idempotent — crawl by its per-shard manifest
+ledger + its marker, commit by the manifest ledger, index by the
+applied-version ledger, prepare by its dedup marker + per-shard
+manifest ledger. A rerun of a
 finished job reports every phase skipped and writes nothing.
 
 At 100 TB: each phase is the already-audited job (no new shuffles are
@@ -49,18 +50,6 @@ if _REPO_ROOT not in sys.path:
 _JOBS_DIR = os.path.dirname(os.path.abspath(__file__))
 if _JOBS_DIR not in sys.path:
     sys.path.insert(0, _JOBS_DIR)
-
-
-def _pack_lineage(t) -> dict:
-    """Per-shard pack metrics; a shard whose every doc failed the
-    quality gate commits an EMPTY (schemaless) table — still a valid
-    lineage record, not a crash."""
-    if "pack_id" not in t.column_names:
-        return {"n_packs": 0, "n_tokens": 0}
-    return {
-        "n_packs": len(set(t.column("pack_id").to_pylist())),
-        "n_tokens": sum(t.column("n_tokens").to_pylist()),
-    }
 
 
 def _rss_mb() -> float:
@@ -169,6 +158,7 @@ def run_webtext_job(
     # ``crawl_job`` import would leave workers unable to deserialize
     from jobs.crawl_job import run_crawl_job
     from jobs.prepare_job import (
+        _pack_lineage,
         dedup_phase,
         exact_substr_phase,
         prep_pipeline,

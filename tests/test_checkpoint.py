@@ -10,13 +10,18 @@ import pyarrow.parquet as pq
 import pytest
 
 from ctinexus_ray.state.checkpoint import (
-    completed_partitions,
     list_input_partitions,
     partition_id,
-    pending_partitions,
     read_lineage,
     run_resumable,
-    write_partition,
+)
+from ctinexus_ray.state.tableformat import (
+    applied_ids,
+    commit_version,
+    latest_version,
+    read_version,
+    vacuum,
+    version_files,
 )
 
 
@@ -39,48 +44,142 @@ class TestPartitionIds:
         assert len(set(ids)) == 3
 
 
+def _double(ds):
+    return ds.map_batches(
+        lambda b: pa.Table.from_pydict(
+            {"doc_id": pa.compute.multiply(b.column("doc_id"), 2)}
+        ),
+        batch_format="pyarrow",
+    )
+
+
+def _root_parquet(out):
+    return sorted(str(p) for p in out.glob("*.parquet"))
+
+
 class TestResume:
-    def test_skip_completed(self, input_files, tmp_path):
+    def test_skip_completed(self, input_files, tmp_path, ray_session):
         out = tmp_path / "out"
         pid, f = list_input_partitions(input_files)[0]
-        write_partition(out, pid, pa.table({"x": [1]}), {"input_file": f})
-        assert completed_partitions(out) == {pid}
-        pending = pending_partitions(input_files, out)
-        assert len(pending) == 2
-        assert all(p != pid for p, _ in pending)
+        commit_version(str(out), [], "append", batch_ids=[pid])
+        assert applied_ids(str(out)) == [pid]
+        got = run_resumable(input_files, out, _double)
+        assert got["processed"] == 2 and got["skipped"] == 1
+        assert partition_id(f) not in {
+            r["partition_id"] for r in read_lineage(out)
+        }
 
     def test_run_resumable_end_to_end(self, input_files, tmp_path, ray_session):
         out = tmp_path / "out"
-
-        def double(ds):
-            return ds.map_batches(
-                lambda b: pa.Table.from_pydict(
-                    {"doc_id": pa.compute.multiply(b.column("doc_id"), 2)}
-                ),
-                batch_format="pyarrow",
-            )
-
-        first = run_resumable(input_files, out, double)
+        first = run_resumable(input_files, out, _double)
         assert first["processed"] == 3 and first["skipped"] == 0
         assert first["rows"] == 30
 
         # second run: everything skipped
-        second = run_resumable(input_files, out, double)
+        second = run_resumable(input_files, out, _double)
         assert second["processed"] == 0 and second["skipped"] == 3
 
         lineage = read_lineage(out)
         assert len(lineage) == 3
         assert all("input_file" in rec and rec["rows"] == 10 for rec in lineage)
 
-    def test_sidecar_is_commit_record(self, input_files, tmp_path):
+    def test_sidecar_is_commit_record(self, input_files, tmp_path, ray_session):
+        """The shard's manifest commit is its record: its files, its pid
+        in the ledger and its lineage."""
         out = tmp_path / "out"
         pid, f = list_input_partitions(input_files)[0]
-        write_partition(out, pid, pa.table({"x": [1, 2]}), {"input_file": f})
-        sidecar = json.loads((out / f"_SUCCESS.{pid}.json").read_text())
-        assert sidecar["rows"] == 2
-        assert sidecar["input_file"] == f
-        # data file exists alongside
-        assert (out / f"part-{pid}.parquet").exists()
+        run_resumable([f], out, _double)
+        (rec,) = read_lineage(out)
+        assert rec["rows"] == 10
+        assert rec["input_file"] == f and rec["partition_id"] == pid
+        assert applied_ids(str(out)) == [pid]
+        files = version_files(str(out), latest_version(str(out)))
+        assert files and all(os.path.basename(p).startswith(f"part-{pid}-")
+                             for p in files)
+
+
+class TestManifestCommit:
+    """``run_resumable`` commits each shard through the manifest ledger:
+    task-side files, then one ledgered append."""
+
+    def test_crash_before_commit_resumes_and_vacuums(
+        self, input_files, tmp_path, ray_session
+    ):
+        out = tmp_path / "out"
+
+        def crash(files):
+            raise RuntimeError("driver died before the commit")
+
+        with pytest.raises(RuntimeError, match="before the commit"):
+            run_resumable(input_files[:1], out, _double, lineage_fn=crash)
+        orphans = _root_parquet(out)
+        assert orphans and latest_version(str(out)) is None
+
+        again = run_resumable(input_files[:1], out, _double)
+        assert again == {"processed": 1, "skipped": 0, "rows": 10}
+        got = read_version(str(out)).to_pandas()["doc_id"].sort_values()
+        assert got.tolist() == [2 * i for i in range(10)]
+        assert vacuum(str(out), older_than_sec=0)["files_deleted"] == len(orphans)
+        assert _root_parquet(out) == sorted(
+            version_files(str(out), latest_version(str(out))))
+
+    def test_racing_runs_commit_shard_once(
+        self, input_files, tmp_path, ray_session
+    ):
+        """A second run of the same shard writes and commits while the
+        first sits between its write and its commit: the first finds
+        the pid applied and commits nothing, and the racer's commit
+        holds only the racer's files."""
+        out = tmp_path / "out"
+        raced = []
+
+        def race(files):
+            if not raced:
+                raced.append(run_resumable(input_files[:1], out, _double))
+            return {}
+
+        run_resumable(input_files[:1], out, _double, lineage_fn=race)
+        assert raced[0]["processed"] == 1
+        pid = partition_id(input_files[0])
+        assert applied_ids(str(out)) == [pid] and latest_version(str(out)) == 1
+        assert read_version(str(out)).count() == 10
+        assert len(read_lineage(out)) == 1
+
+    def test_empty_shard_is_ledger_only_commit(self, tmp_path, ray_session):
+        src = tmp_path / "in.parquet"
+        pq.write_table(pa.table({"doc_id": [1, 2]}), src)
+        out = tmp_path / "out"
+
+        def drop_all(ds):
+            return ds.filter(expr="doc_id > 100")
+
+        assert run_resumable([str(src)], out, drop_all)["rows"] == 0
+        assert version_files(str(out), 1) == []
+        assert applied_ids(str(out)) == [partition_id(str(src))]
+        assert [r["rows"] for r in read_lineage(out)] == [0]
+        assert run_resumable([str(src)], out, drop_all)["processed"] == 0
+        assert latest_version(str(out)) == 1
+
+    def test_sidecar_layout_resumes(self, input_files, tmp_path, ray_session):
+        """A directory the sidecar checkpoint wrote (part-<pid>.parquet
+        plus _SUCCESS.<pid>.json, no manifest) is adopted in one
+        ledgered commit: nothing recomputes and its records survive."""
+        out = tmp_path / "out"
+        out.mkdir()
+        for pid, f in list_input_partitions(input_files)[:2]:
+            pq.write_table(pa.table({"doc_id": [1, 2]}), out / f"part-{pid}.parquet")
+            (out / f"_SUCCESS.{pid}.json").write_text(json.dumps(
+                {"partition_id": pid, "rows": 2, "columns": ["doc_id"],
+                 "input_file": f, "wall_time_s": 0.1}))
+        # a part without a sidecar was never committed
+        orphan = partition_id(input_files[2])
+        pq.write_table(pa.table({"doc_id": [9]}), out / f"part-{orphan}.parquet")
+
+        got = run_resumable(input_files[:2], out, _double)
+        assert got == {"processed": 0, "skipped": 2, "rows": 0}
+        assert sorted(r["input_file"] for r in read_lineage(out)) == sorted(input_files[:2])
+        assert read_version(str(out)).count() == 4
+        assert orphan not in applied_ids(str(out))
 
 
 class TestPrepareJob:

@@ -1,5 +1,4 @@
 import datetime
-import json
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -98,9 +97,9 @@ class TestCrawlJob:
 
         inp, outp, robots = self._setup(tmp_path)
         run_crawl_job(inp, outp, robots_path=robots, c4=False)
-        sidecars = list((tmp_path / "out" / "pages").glob("_SUCCESS.*.json"))
-        assert len(sidecars) == 1
-        lineage = json.loads(sidecars[0].read_text())
+        from ctinexus_ray.state.checkpoint import read_lineage
+
+        (lineage,) = read_lineage(tmp_path / "out" / "pages")
         assert lineage["rows"] == 5
         assert lineage["robots_allowed"] == 4
         # c4 off: every row passes the keep flag

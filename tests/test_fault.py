@@ -3,7 +3,7 @@ retries + lineage re-execution" heal mid-run worker loss) driven for
 real: a poison stage kills its own WORKER PROCESS (stateless-task case)
 or its ACTOR (actor-pool case) exactly once mid-run via an O_EXCL flag
 file, and the run must (a) complete, (b) produce outputs identical to
-an uninterrupted twin, (c) leave sidecars / index manifests
+an uninterrupted twin, (c) leave lineage records / index manifests
 uncorrupted. Ray Data actor pools carry max_restarts=-1 /
 max_task_retries=-1 by default, so a killed actor is respawned and its
 in-flight batch re-executed from lineage.
@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray.data
 
 from ctinexus_ray.sources.synth import write_cc_corpus
-from ctinexus_ray.state.checkpoint import run_resumable
+from ctinexus_ray.state.checkpoint import committed_shards, read_lineage, run_resumable
 
 def _make_poison():
     """A kill-once function (dies the first time ANY worker passes;
@@ -61,9 +62,13 @@ def corpus_files(tmp_path_factory):
 
 
 def _parts(out_dir):
-    return sorted(
-        p for p in os.listdir(out_dir) if p.startswith("part-")
-    )
+    """{pid: the shard's committed rows}. File names carry a write
+    uuid, so shards compare by pid and content."""
+    files: dict[str, list[str]] = {}
+    for pid, f in committed_shards(out_dir):
+        files.setdefault(pid, []).append(f)
+    return {pid: pa.concat_tables(pq.read_table(f) for f in fs)
+            for pid, fs in files.items()}
 
 
 def _assert_same_outputs(poisoned_dir, clean_dir):
@@ -71,13 +76,11 @@ def _assert_same_outputs(poisoned_dir, clean_dir):
     a retried block completes later and Ray Data's streaming executor
     does not preserve inter-block order by default — lineage guarantees
     the multiset of rows, so compare sorted on the unique url key."""
-    assert _parts(poisoned_dir) == _parts(clean_dir)
-    for name in _parts(poisoned_dir):
-        got = pq.read_table(os.path.join(poisoned_dir, name))
-        want = pq.read_table(os.path.join(clean_dir, name))
-        got = got.sort_by("url")
-        want = want.sort_by("url")
-        assert got.equals(want), f"shard {name} diverged after fault"
+    got, want = _parts(poisoned_dir), _parts(clean_dir)
+    assert sorted(got) == sorted(want)
+    for pid in got:
+        assert got[pid].sort_by("url").equals(want[pid].sort_by("url")), (
+            f"shard {pid} diverged after fault")
 
 
 class TestWorkerDeath:
@@ -105,11 +108,8 @@ class TestWorkerDeath:
         assert got["processed"] == 2 and got["rows"] == 40
         run_resumable(corpus_files, tmp_path / "clean", clean)
         _assert_same_outputs(tmp_path / "poisoned", tmp_path / "clean")
-        # lineage sidecars intact and parseable
-        import json
-
-        for s in sorted((tmp_path / "poisoned").glob("_SUCCESS.*.json")):
-            assert json.loads(s.read_text())["rows"] == 20
+        # lineage records intact, one per shard
+        assert [r["rows"] for r in read_lineage(tmp_path / "poisoned")] == [20, 20]
 
     def test_actor_death_heals(self, corpus_files, tmp_path, ray_session):
         """An actor-pool worker (the LLM-stage shape) dies mid-run: the

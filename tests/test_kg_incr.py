@@ -9,7 +9,7 @@ import pandas as pd
 import pytest
 import ray.data
 
-from ctinexus_ray.pipelines.kg import canonicalize_nodes
+from ctinexus_ray.pipelines.kg import canonicalize_nodes, metrics_total
 from ctinexus_ray.pipelines.kg_incr import (
     fold_kg_derived,
     read_kg_metrics_view,
@@ -55,7 +55,7 @@ def _sorted_df(ds) -> pd.DataFrame:
 
 
 def _full_docs_kg(out_dir):
-    return ray.data.read_parquet(
+    return read_version(
         f"{out_dir}/docs_kg",
         columns=["url", "kg_aligned_json", "kg_links_json"],
     )
@@ -74,7 +74,7 @@ def _metrics_oracle(out_dir):
     import pyarrow.compute as pc
 
     docs = pa.concat_tables(
-        ray.get(ray.data.read_parquet(f"{out_dir}/docs_kg").to_arrow_refs())
+        ray.get(read_version(f"{out_dir}/docs_kg").to_arrow_refs())
     )
     row = {"stage": "kg", "docs": docs.num_rows}
     for out, col in [("triples", "triples_count"), ("mentions", "mentions_num"),
@@ -145,6 +145,16 @@ class TestIncrementalEqualsFull:
                  for v in range(1, latest_version(f"{out}/nodes_view") + 1)]
         assert modes.count("compact") == compacted >= 1
         assert modes.count("append") == 6
+        # the metrics view sums its per-fold rows into one file
+        metrics = f"{out}/metrics_view"
+        assert len(version_files(metrics, latest_version(metrics))) == 1
+        docs_kg = f"{out}/docs_kg"
+        pd.testing.assert_frame_equal(
+            _sorted_df(read_kg_metrics_view(metrics)),
+            _sorted_df(ray.data.from_arrow(metrics_total(
+                version_files(docs_kg, latest_version(docs_kg))))),
+            check_dtype=False,
+        )
 
     def test_view_in_merged_layout_reads_identically(
         self, corpus_files, tmp_path, ray_session, config
@@ -198,6 +208,58 @@ class TestIncrementalEqualsFull:
         got = _sorted_df(read_kg_nodes_view(f"{out}/nodes_view"))
         want = _sorted_df(canonicalize_nodes(_full_docs_kg(out), config))
         pd.testing.assert_frame_equal(got, want)
+
+
+class TestMetricsCompaction:
+    def test_compaction_racing_an_append_loses_no_row(
+        self, tmp_path, ray_session, monkeypatch
+    ):
+        """An append that lands between the compaction's read and its
+        commit wins: the compaction gives way, no row is lost, and the
+        next compaction folds the racer in."""
+        import os
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from ctinexus_ray.pipelines import kg_incr
+        from ctinexus_ray.pipelines.kg import METRIC_COLUMNS, METRICS_SCHEMA
+
+        view = str(tmp_path / "metrics_view")
+        os.makedirs(view)
+
+        def append(n, bid):
+            path = os.path.join(view, f"{bid}.parquet")
+            pq.write_table(pa.Table.from_pylist(
+                [{"stage": "kg", **dict.fromkeys(METRIC_COLUMNS, n)}],
+                schema=METRICS_SCHEMA), path)
+            kg_incr.commit_version(view, [path], "append", batch_ids=[bid])
+
+        append(1, "a")
+        append(2, "b")
+        real, raced = kg_incr.commit_version, []
+
+        def racing_commit(table_dir, files, mode="append", **kw):
+            if mode == "compact" and not raced:
+                raced.append(1)
+                append(4, "racer")
+            return real(table_dir, files, mode, **kw)
+
+        monkeypatch.setattr(kg_incr, "commit_version", racing_commit)
+        kg_incr._compact_metrics(view)
+        assert raced and version_mode(view, latest_version(view)) == "append"
+        assert len(version_files(view, latest_version(view))) == 3
+        assert len(list(tmp_path.glob("metrics_view/*.parquet"))) == 3
+
+        def total():
+            (row,) = read_kg_metrics_view(view).take_all()
+            return [row[c] for c in METRIC_COLUMNS]
+
+        assert total() == [7] * len(METRIC_COLUMNS)
+        kg_incr._compact_metrics(view)
+        assert len(version_files(view, latest_version(view))) == 1
+        assert total() == [7] * len(METRIC_COLUMNS)
+        assert sorted(applied_ids(view)) == ["a", "b", "racer"]
 
 
 class TestShardMapRace:

@@ -3,15 +3,13 @@ skip-on-restart, lineage metrics, derived views covering the corpus."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
 from ctinexus_ray.pipelines.kg import METRIC_COLUMNS, metrics_total
 from ctinexus_ray.pipelines.kg_incr import run_kg_incremental
 from ctinexus_ray.sources.synth import write_cc_corpus
-from ctinexus_ray.state.tableformat import read_version
+from ctinexus_ray.state.checkpoint import read_lineage
+from ctinexus_ray.state.tableformat import latest_version, read_version, version_files
 
 
 @pytest.fixture(scope="module")
@@ -28,10 +26,9 @@ def test_resume_skips_committed_shards(corpus_files, tmp_path, ray_session, conf
     second = run_kg_incremental(corpus_files, str(out), config)
     assert second["processed"] == 0 and second["skipped"] == 3
 
-    # lineage sidecars carry per-shard metrics
-    sidecars = sorted(Path(first["docs_kg"]).glob("_SUCCESS.*.json"))
-    assert len(sidecars) == 3
-    recs = [json.loads(path.read_text()) for path in sidecars]
+    # each shard commit's lineage carries per-shard metrics
+    recs = read_lineage(first["docs_kg"])
+    assert len(recs) == 3
     for rec in recs:
         assert rec["docs"] == 20
         assert rec["triples"] > 0
@@ -39,7 +36,8 @@ def test_resume_skips_committed_shards(corpus_files, tmp_path, ray_session, conf
         assert "wall_time_s" in rec
     # ... under the metrics table's names: summed over shards, every
     # counter equals the metrics row of the same docs_kg
-    (total,) = metrics_total(first["docs_kg"]).to_pylist()
+    docs_kg = first["docs_kg"]
+    (total,) = metrics_total(version_files(docs_kg, latest_version(docs_kg))).to_pylist()
     assert {c: sum(rec[c] for rec in recs) for c in METRIC_COLUMNS} == {
         c: total[c] for c in METRIC_COLUMNS
     }

@@ -15,7 +15,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "jobs"))
 
 from stream_job import run_tick  # noqa: E402
 
-from ctinexus_ray.state.tableformat import applied_ids  # noqa: E402
+from ctinexus_ray.state.tableformat import (  # noqa: E402
+    applied_ids,
+    latest_version,
+    read_version,
+    version_files,
+    version_mode,
+)
 
 
 def _shard(path, ids):
@@ -581,7 +587,7 @@ class TestKgView:
         from ctinexus_ray.pipelines.kg_incr import read_kg_nodes_view
 
         got = read_kg_nodes_view(f"{kg_dir}/nodes_view").to_pandas()
-        full = ray.data.read_parquet(
+        full = read_version(
             f"{kg_dir}/docs_kg",
             columns=["url", "kg_aligned_json", "kg_links_json"],
         )
@@ -639,9 +645,11 @@ class TestKgView:
     ):
         """A vacuum-forced view rebuild re-runs the LLM stages only for
         corpus files it has no docs_kg shard for: the shard of a file
-        the latest version still holds is kept untouched."""
+        the latest version still holds is kept untouched, its files the
+        same paths in the new docs_kg version."""
         import os
 
+        from ctinexus_ray.pipelines.kg_incr import committed_kg_shards
         from ctinexus_ray.state.checkpoint import partition_id
         from ctinexus_ray.state.tableformat import vacuum, version_files
         from jobs.stream_job import run_tick
@@ -653,16 +661,51 @@ class TestKgView:
         self._shard(inp / "s1.parquet", [1], ["APT29 used Cobalt Strike"])
         run_tick(str(inp), table, 4, kg_view=kg)
         (v1_file,) = version_files(table, 1)
-        sidecar = f"{kg}/docs_kg/_SUCCESS.{partition_id(v1_file)}.json"
-        before = os.stat(sidecar).st_mtime_ns
+        kept = [f for pid, f in committed_kg_shards(f"{kg}/docs_kg")
+                if pid == partition_id(v1_file)]
+        before = [os.stat(f).st_mtime_ns for f in kept]
 
         self._shard(inp / "s2.parquet", [2], ["the loader beaconed out"])
         run_tick(str(inp), table, 4)  # the view is not told about v2
         vacuum(table, keep_versions=1)
         s = run_tick(str(inp), table, 4, kg_view=kg)
         assert s["kg_rebuilt"]
-        assert os.stat(sidecar).st_mtime_ns == before
+        assert kept and [os.stat(f).st_mtime_ns for f in kept] == before
+        docs_kg = f"{kg}/docs_kg"
+        (rebuilt,) = [v for v in range(1, latest_version(docs_kg) + 1)
+                      if version_mode(docs_kg, v) == "overwrite"]
+        assert version_files(docs_kg, rebuilt) == kept
+        after = committed_kg_shards(docs_kg)
+        assert [f for pid, f in after if pid == partition_id(v1_file)] == kept
+        assert len({pid for pid, _ in after}) == 2
         self._nodes_equal_full(kg)
+
+    def test_rebuild_drops_stale_shards_in_one_commit(
+        self, ray_session, tmp_path
+    ):
+        """The rebuild drops a shard whose input file left the corpus
+        with one overwrite commit: the kept shard's files and lineage
+        carry over, the ledger keeps both pids, and the dropped files
+        stay readable at the old version."""
+        from ctinexus_ray.pipelines.kg_incr import committed_kg_shards
+        from ctinexus_ray.state.checkpoint import read_lineage, run_resumable
+        from jobs.stream_job import _drop_stale_kg_state
+
+        inp = tmp_path / "in"
+        inp.mkdir()
+        self._shard(inp / "s1.parquet", [1], ["APT29 used Cobalt Strike"])
+        self._shard(inp / "s2.parquet", [2], ["the loader beaconed out"])
+        docs_kg = str(tmp_path / "kg" / "docs_kg")
+        run_resumable(sorted(str(p) for p in inp.iterdir()), docs_kg, lambda ds: ds)
+        shards = committed_kg_shards(docs_kg)
+        keep, drop = shards[0][0], shards[1][0]
+
+        _drop_stale_kg_state(str(tmp_path / "kg"), {keep})
+        assert version_mode(docs_kg, 3) == "overwrite"
+        assert committed_kg_shards(docs_kg) == [s for s in shards if s[0] == keep]
+        assert [r["partition_id"] for r in read_lineage(docs_kg)] == [keep]
+        assert sorted(applied_ids(docs_kg)) == sorted([keep, drop])
+        assert read_version(docs_kg, 2).count() == 2
 
 
 class TestRebuildPreservesIndexShape:
